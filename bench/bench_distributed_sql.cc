@@ -61,8 +61,6 @@ void BM_DistributedSqlSelect(benchmark::State& state) {
   const auto& info = session->last();
   state.counters["distributed"] = info.distributed ? 1 : 0;
   state.counters["sim_us"] = static_cast<double>(info.stats.sim_latency_us);
-  state.counters["sim_serial_us"] =
-      static_cast<double>(info.stats.sim_latency_serial_us);
   state.counters["moved_bytes"] = static_cast<double>(
       info.stats.shuffle_bytes + info.stats.broadcast_bytes);
   state.counters["partial_bytes"] = static_cast<double>(info.stats.partial_bytes);

@@ -3,17 +3,16 @@
 /// Sweeps the per-channel in-memory cap over a fixed repartitioned join and
 /// records what the cap costs: spilled bytes and segments, wall time
 /// (the real disk round trip), and the simulated-latency overhead vs the
-/// uncapped run. Also compares against strict mode (the historical hard
-/// limit), where the same caps simply kill the query — the retired failure
-/// mode. The lifetime bytes-moved accounting is cap-independent: spilling
-/// changes WHERE queued payload waits, never how much traffic exists.
+/// uncapped run. The lifetime bytes-moved accounting is cap-independent:
+/// spilling changes WHERE queued payload waits, never how much traffic
+/// exists.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <memory>
 #include <utility>
 
-#include "cluster/mpp_query.h"
+#include "cluster/distributed_plan.h"
 #include "common/rng.h"
 
 namespace {
@@ -53,33 +52,34 @@ std::unique_ptr<Cluster> BuildJoinCluster(int dns, int64_t rows,
   return cluster;
 }
 
-DistributedJoinSpec JoinSpec() {
-  DistributedJoinSpec spec;
-  spec.left_table = "orders";
-  spec.right_table = "customers";
-  spec.left_key = "cust";
-  spec.right_key = "c_id";
-  return spec;
+/// SELECT * FROM orders JOIN customers ON cust = c_id, gathered as rows.
+DistOpPtr JoinPlan() {
+  return MakeGather(MakeDistHashJoin(MakeDistScan("orders", nullptr),
+                                     MakeDistScan("customers", nullptr), "cust",
+                                     "c_id", nullptr),
+                    /*gather_rows=*/true);
 }
 
 /// range: dns, channel cap in bytes (0 = uncapped).
 void BM_RepartitionJoinUnderCap(benchmark::State& state) {
   int dns = static_cast<int>(state.range(0));
   auto cluster = BuildJoinCluster(dns, 8'000, 8'000);
-  DistributedJoinOptions options;
-  options.strategy = JoinStrategy::kRepartition;
+  DistExecOptions options;
+  options.strategy_override = JoinStrategy::kRepartition;
   options.max_channel_bytes = static_cast<size_t>(state.range(1));
-  DistributedJoinResult last;
+  const DistOpPtr plan = JoinPlan();
+  DistPlanResult last;
   for (auto _ : state) {
     cluster->ResetSimTime();
-    auto r = DistributedJoin(cluster.get(), JoinSpec(), options);
+    auto r = ExecuteDistPlan(cluster.get(), plan, options);
     if (r.ok()) last = std::move(r).ValueOrDie();
     benchmark::DoNotOptimize(last.table);
   }
+  const DistExecStats& st = last.stats;
   state.counters["moved_bytes"] =
-      static_cast<double>(last.shuffle_bytes + last.broadcast_bytes);
-  state.counters["spilled_bytes"] = static_cast<double>(last.spill_bytes);
-  state.counters["sim_us"] = static_cast<double>(last.sim_latency_us);
+      static_cast<double>(st.shuffle_bytes + st.broadcast_bytes);
+  state.counters["spilled_bytes"] = static_cast<double>(st.spill_bytes);
+  state.counters["sim_us"] = static_cast<double>(st.sim_latency_us);
 }
 BENCHMARK(BM_RepartitionJoinUnderCap)
     ->ArgNames({"dns", "cap"})
@@ -90,32 +90,26 @@ BENCHMARK(BM_RepartitionJoinUnderCap)
     ->Args({4, 1 << 10})
     ->Unit(benchmark::kMillisecond);
 
-/// The E18 headline: capped vs uncapped across cap sizes — spill volume,
-/// simulated-latency overhead, and the fate of the same query under the
-/// old strict (deny) semantics.
+/// The E18 headline: capped vs uncapped across cap sizes — spill volume
+/// and simulated-latency overhead.
 void PrintCapSweepTable() {
   printf("\n=== Exchange spill: repartition join vs channel cap (4 DNs, "
          "8000x8000 rows, ~58B/row encoded) ===\n");
-  printf("%-10s %12s %12s %12s %10s %-14s\n", "cap (B)", "moved (B)",
-         "spill (B)", "sim (us)", "overhead", "strict mode");
+  printf("%-10s %12s %12s %12s %10s\n", "cap (B)", "moved (B)", "spill (B)",
+         "sim (us)", "overhead");
   auto cluster = BuildJoinCluster(4, 8'000, 8'000);
   SimTime base_us = 0;
   for (size_t cap : {size_t{0}, size_t{1} << 18, size_t{1} << 16,
                      size_t{1} << 14, size_t{1} << 12, size_t{1} << 10,
                      size_t{64}}) {
-    DistributedJoinOptions options;
-    options.strategy = JoinStrategy::kRepartition;
+    DistExecOptions options;
+    options.strategy_override = JoinStrategy::kRepartition;
     options.max_channel_bytes = cap;
     cluster->ResetSimTime();
-    auto r = DistributedJoin(cluster.get(), JoinSpec(), options);
+    auto r = ExecuteDistPlan(cluster.get(), JoinPlan(), options);
     if (!r.ok()) continue;
-    if (cap == 0) base_us = r->sim_latency_us;
-
-    DistributedJoinOptions strict = options;
-    strict.strict_channel_limit = true;
-    auto s = DistributedJoin(cluster.get(), JoinSpec(), strict);
-    const char* strict_fate =
-        cap == 0 ? "n/a" : (s.ok() ? "completes" : "QUERY FAILS");
+    const DistExecStats& st = r->stats;
+    if (cap == 0) base_us = st.sim_latency_us;
 
     char capbuf[24];
     if (cap == 0) {
@@ -123,17 +117,15 @@ void PrintCapSweepTable() {
     } else {
       snprintf(capbuf, sizeof(capbuf), "%zu", cap);
     }
-    printf("%-10s %12zu %12zu %12lld %9.2fx %-14s\n", capbuf,
-           r->shuffle_bytes + r->broadcast_bytes, r->spill_bytes,
-           (long long)r->sim_latency_us,
+    printf("%-10s %12zu %12zu %12lld %9.2fx\n", capbuf,
+           st.shuffle_bytes + st.broadcast_bytes, st.spill_bytes,
+           (long long)st.sim_latency_us,
            base_us == 0 ? 1.0
-                        : static_cast<double>(r->sim_latency_us) /
-                              static_cast<double>(base_us),
-           strict_fate);
+                        : static_cast<double>(st.sim_latency_us) /
+                              static_cast<double>(base_us));
   }
   printf("(the cap trades memory for simulated disk time: results are "
-         "bit-identical at every cap, only sim latency grows; under the old "
-         "strict semantics every spilling row is a failed query)\n\n");
+         "bit-identical at every cap, only sim latency grows)\n\n");
 }
 
 /// Build-side spooling: the same broadcast join under shrinking per-DN
@@ -146,11 +138,11 @@ void PrintBuildSpillTable() {
   auto cluster = BuildJoinCluster(4, 8'000, 256);
   for (size_t budget : {size_t{0}, size_t{1} << 14, size_t{1} << 12,
                         size_t{1} << 10}) {
-    DistributedJoinOptions options;
-    options.strategy = JoinStrategy::kBroadcast;
+    DistExecOptions options;
+    options.strategy_override = JoinStrategy::kBroadcast;
     options.max_build_bytes = budget;
     cluster->ResetSimTime();
-    auto r = DistributedJoin(cluster.get(), JoinSpec(), options);
+    auto r = ExecuteDistPlan(cluster.get(), JoinPlan(), options);
     if (!r.ok()) continue;
     char budbuf[24];
     if (budget == 0) {
@@ -158,8 +150,8 @@ void PrintBuildSpillTable() {
     } else {
       snprintf(budbuf, sizeof(budbuf), "%zu", budget);
     }
-    printf("%-12s %16zu %12lld %10zu\n", budbuf, r->build_spill_bytes,
-           (long long)r->sim_latency_us, r->table.num_rows());
+    printf("%-12s %16zu %12lld %10zu\n", budbuf, r->stats.build_spill_bytes,
+           (long long)r->stats.sim_latency_us, r->table.num_rows());
   }
   printf("(a build partition over budget spools through a spill file and is "
          "re-read at build time — same rows, extra disk charge)\n\n");

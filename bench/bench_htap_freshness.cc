@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "cluster/mpp_query.h"
+#include "cluster/distributed_plan.h"
 #include "common/rng.h"
 
 namespace {
@@ -70,6 +70,25 @@ void LoadBase(Cluster* cluster, int64_t* next_key) {
   *next_key = kBaseRows;
 }
 
+/// Global `aggs` over sales [WHERE filter]: scan -> fused partial agg ->
+/// gather partials -> final agg at the CN.
+DistOpPtr SalesAggPlan(sql::ExprPtr filter, std::vector<DistributedAgg> aggs,
+                       ScanPath path = ScanPath::kColumnar) {
+  return MakeDistFinalAgg(
+      MakeGather(MakeDistPartialAgg(
+                     MakeDistScan("sales", std::move(filter), path), {}, aggs),
+                 /*gather_rows=*/false),
+      {}, aggs);
+}
+
+/// The measured query: COUNT + SUM(amount) WHERE amount > 500.
+DistOpPtr ScanQueryPlan(ScanPath path = ScanPath::kColumnar) {
+  return SalesAggPlan(Expr::Gt("amount", Value(int64_t{500})),
+                      {{AggFunc::kCount, "", "n"},
+                       {AggFunc::kSum, "amount", "s"}},
+                      path);
+}
+
 Leg RunLeg(const char* strategy, int writes_per_query,
            size_t merge_threshold) {
   Cluster cluster(kDns, Protocol::kGtmLite);
@@ -86,8 +105,8 @@ Leg RunLeg(const char* strategy, int writes_per_query,
   cluster.set_auto_merge(delta);
   if (delta) cluster.set_delta_merge_threshold(merge_threshold);
 
-  DistributedOptions opts;
-  opts.use_columnar = std::string(strategy) != "row";
+  const ScanPath path =
+      std::string(strategy) == "row" ? ScanPath::kRow : ScanPath::kColumnar;
 
   Leg leg{strategy, writes_per_query, delta ? merge_threshold : 0};
   Rng rng(7 + writes_per_query);
@@ -117,21 +136,20 @@ Leg RunLeg(const char* strategy, int writes_per_query,
             dn, 0, static_cast<size_t>(next_key) / kDns);
       }
     }
-    auto res = DistributedAggregate(
-        &cluster, "sales", Expr::Gt("amount", Value(int64_t{500})), {},
-        {{AggFunc::kCount, "", "n"}, {AggFunc::kSum, "amount", "s"}}, opts);
+    auto res = ExecuteDistPlan(&cluster, ScanQueryPlan(path));
     if (!res.ok()) std::abort();
-    total_us += static_cast<double>(res->sim_latency_us);
+    const DistExecStats& st = res->stats;
+    total_us += static_cast<double>(st.sim_latency_us);
     leg.max_scan_us =
-        std::max(leg.max_scan_us, static_cast<long long>(res->sim_latency_us));
-    total_delta += static_cast<double>(res->scan_stats.delta_rows);
+        std::max(leg.max_scan_us, static_cast<long long>(st.sim_latency_us));
+    total_delta += static_cast<double>(st.scan_stats.delta_rows);
   }
   leg.mean_scan_us = total_us / kQueries;
   leg.mean_delta_rows = total_delta / kQueries;
   leg.merges = cluster.metrics().Get("columnar.merges");
   leg.merge_rows = cluster.metrics().Get("columnar.merge_rows");
-  auto final_res = DistributedAggregate(&cluster, "sales", nullptr, {},
-                                        {{AggFunc::kCount, "", "n"}});
+  auto final_res = ExecuteDistPlan(
+      &cluster, SalesAggPlan(nullptr, {{AggFunc::kCount, "", "n"}}));
   if (!final_res.ok()) std::abort();
   leg.count = final_res->table.rows()[0][0].AsInt();
   return leg;
@@ -221,10 +239,9 @@ void BM_DeltaUnionScan(benchmark::State& state) {
     if (!t.Insert("sales", row[0], row).ok()) std::abort();
     if (!t.Commit().ok()) std::abort();
   }
+  const DistOpPtr plan = ScanQueryPlan();
   for (auto _ : state) {
-    auto res = DistributedAggregate(
-        &cluster, "sales", Expr::Gt("amount", Value(int64_t{500})), {},
-        {{AggFunc::kCount, "", "n"}, {AggFunc::kSum, "amount", "s"}});
+    auto res = ExecuteDistPlan(&cluster, plan);
     if (!res.ok()) std::abort();
     benchmark::DoNotOptimize(res->table.rows()[0][0].AsInt());
   }

@@ -9,9 +9,11 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
-#include "cluster/mpp_query.h"
+#include "cluster/distributed_plan.h"
 #include "common/rng.h"
 
 namespace {
@@ -41,27 +43,37 @@ std::unique_ptr<Cluster> BuildSalesCluster(int dns, int64_t rows,
   return cluster;
 }
 
+/// SELECT region, SUM(amount), COUNT(*) FROM sales GROUP BY region: scan ->
+/// fused partial agg -> gather partials -> final agg at the CN.
+DistOpPtr GroupByRegionPlan() {
+  std::vector<std::string> group_by = {"region"};
+  std::vector<DistributedAgg> aggs = {{AggFunc::kSum, "amount", "total"},
+                                      {AggFunc::kCount, "", "n"}};
+  return MakeDistFinalAgg(
+      MakeGather(MakeDistPartialAgg(MakeDistScan("sales", nullptr), group_by,
+                                    aggs),
+                 /*gather_rows=*/false),
+      group_by, aggs);
+}
+
 /// range(2): 0 = serial inline scatter, 1 = thread-pool scatter.
 void BM_DistributedGroupBy(benchmark::State& state) {
   int dns = static_cast<int>(state.range(0));
   int64_t groups = state.range(1);
-  DistributedOptions options;
+  DistExecOptions options;
   options.parallel = state.range(2) != 0;
   auto cluster = BuildSalesCluster(dns, 20'000, groups);
-  DistributedResult last;
+  const DistOpPtr plan = GroupByRegionPlan();
+  DistPlanResult last;
   for (auto _ : state) {
-    auto r = DistributedAggregate(cluster.get(), "sales", nullptr, {"region"},
-                                  {{AggFunc::kSum, "amount", "total"},
-                                   {AggFunc::kCount, "", "n"}},
-                                  options);
+    auto r = ExecuteDistPlan(cluster.get(), plan, options);
     if (r.ok()) last = std::move(r).ValueOrDie();
     benchmark::DoNotOptimize(last.table);
   }
-  state.counters["partial_bytes"] = static_cast<double>(last.partial_bytes);
-  state.counters["naive_bytes"] = static_cast<double>(last.naive_bytes);
-  state.counters["sim_us"] = static_cast<double>(last.sim_latency_us);
-  state.counters["sim_serial_us"] =
-      static_cast<double>(last.sim_latency_serial_us);
+  state.counters["partial_bytes"] =
+      static_cast<double>(last.stats.partial_bytes);
+  state.counters["naive_bytes"] = static_cast<double>(last.stats.naive_bytes);
+  state.counters["sim_us"] = static_cast<double>(last.stats.sim_latency_us);
 }
 BENCHMARK(BM_DistributedGroupBy)
     ->ArgNames({"dns", "groups", "pool"})
@@ -86,51 +98,48 @@ void PrintMovementTable() {
                              {4, 1000},
                              {4, 10000}}) {
     auto cluster = BuildSalesCluster(dns, 20'000, groups);
-    auto r = DistributedAggregate(cluster.get(), "sales", nullptr, {"region"},
-                                  {{AggFunc::kSum, "amount", "total"},
-                                   {AggFunc::kCount, "", "n"}});
+    auto r = ExecuteDistPlan(cluster.get(), GroupByRegionPlan());
     if (!r.ok()) continue;
+    const DistExecStats& st = r->stats;
     printf("%-6d %-8lld %14zu %14zu %9.0fx\n", dns, (long long)groups,
-           r->partial_bytes, r->naive_bytes,
-           static_cast<double>(r->naive_bytes) /
-               static_cast<double>(std::max<size_t>(1, r->partial_bytes)));
+           st.partial_bytes, st.naive_bytes,
+           static_cast<double>(st.naive_bytes) /
+               static_cast<double>(std::max<size_t>(1, st.partial_bytes)));
   }
   printf("(partial state grows with groups x shards, never with row count — "
          "the reason MPP engines push aggregation below the exchange)\n\n");
 }
 
 /// Serial-vs-parallel scatter: wall clock (thread pool) and simulated
-/// latency (max-over-DNs vs chained-sum) at 1/2/4/8 DNs.
+/// max-over-DNs latency at 1/2/4/8 DNs.
 void PrintScatterTable() {
   printf("=== MPP scatter: serial vs thread-pool, wall + simulated ===\n");
-  printf("%-4s %12s %12s %8s %12s %14s\n", "DNs", "serial (ms)", "pool (ms)",
-         "speedup", "sim par (us)", "sim serial (us)");
+  printf("%-4s %12s %12s %8s %12s\n", "DNs", "serial (ms)", "pool (ms)",
+         "speedup", "sim par (us)");
   for (int dns : {1, 2, 4, 8}) {
     auto cluster = BuildSalesCluster(dns, 40'000, 10);
     auto time_run = [&](bool parallel) {
-      DistributedOptions options;
+      DistExecOptions options;
       options.parallel = parallel;
+      const DistOpPtr plan = GroupByRegionPlan();
       cluster->ResetSimTime();
       auto t0 = std::chrono::steady_clock::now();
-      auto r = DistributedAggregate(cluster.get(), "sales", nullptr, {"region"},
-                                    {{AggFunc::kSum, "amount", "total"},
-                                     {AggFunc::kCount, "", "n"}},
-                                    options);
+      auto r = ExecuteDistPlan(cluster.get(), plan, options);
       auto t1 = std::chrono::steady_clock::now();
       double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-      return std::pair<double, DistributedResult>(
-          ms, r.ok() ? std::move(r).ValueOrDie() : DistributedResult{});
+      return std::pair<double, DistPlanResult>(
+          ms, r.ok() ? std::move(r).ValueOrDie() : DistPlanResult{});
     };
     (void)time_run(true);  // warm-up: touch every shard before timing
     auto [serial_ms, serial_r] = time_run(false);
     auto [pool_ms, pool_r] = time_run(true);
     (void)serial_r;
-    printf("%-4d %12.2f %12.2f %7.2fx %12lld %14lld\n", dns, serial_ms, pool_ms,
-           serial_ms / std::max(pool_ms, 1e-9), (long long)pool_r.sim_latency_us,
-           (long long)pool_r.sim_latency_serial_us);
+    printf("%-4d %12.2f %12.2f %7.2fx %12lld\n", dns, serial_ms, pool_ms,
+           serial_ms / std::max(pool_ms, 1e-9),
+           (long long)pool_r.stats.sim_latency_us);
   }
   printf("(wall-clock speedup needs a multi-core host; simulated latency is "
-         "deterministic: max-over-DNs stays ~flat, chained-sum grows with N)\n\n");
+         "deterministic: max-over-DNs stays ~flat in N)\n\n");
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 /// \brief Cross-shard joins over the exchange (paper Fig. 1: data nodes
 /// "exchange data on-demand and execute the query in parallel"). Compares
 /// broadcast vs repartition vs the naive ship-everything baseline on skewed
-/// and uniform key distributions: bytes moved, exchange batches, and both
-/// simulated-latency models (parallel max-over-DNs vs chained round trips).
+/// and uniform key distributions: bytes moved, exchange batches, and the
+/// simulated max-over-DNs latency.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -12,7 +12,7 @@
 #include <memory>
 #include <utility>
 
-#include "cluster/mpp_query.h"
+#include "cluster/distributed_plan.h"
 #include "common/rng.h"
 
 namespace {
@@ -55,40 +55,47 @@ std::unique_ptr<Cluster> BuildJoinCluster(int dns, int64_t rows,
   return cluster;
 }
 
-DistributedJoinSpec JoinSpec() {
-  DistributedJoinSpec spec;
-  spec.left_table = "orders";
-  spec.right_table = "customers";
-  spec.left_key = "cust";
-  spec.right_key = "c_id";
-  return spec;
+/// SELECT * FROM orders JOIN customers ON cust = c_id, gathered as rows.
+/// The plan's strategy stays kAuto; DistExecOptions::strategy_override
+/// forces one.
+DistOpPtr JoinPlan() {
+  return MakeGather(MakeDistHashJoin(MakeDistScan("orders", nullptr),
+                                     MakeDistScan("customers", nullptr), "cust",
+                                     "c_id", nullptr),
+                    /*gather_rows=*/true);
+}
+
+DistExecOptions Forced(JoinStrategy strategy) {
+  DistExecOptions options;
+  options.strategy_override = strategy;
+  return options;
 }
 
 /// range: dns, dim_rows, strategy (0 broadcast / 1 repartition / 2 auto),
 /// skew.
-void BM_DistributedJoin(benchmark::State& state) {
+void BM_DistHashJoin(benchmark::State& state) {
   int dns = static_cast<int>(state.range(0));
   int64_t dim_rows = state.range(1);
   auto cluster = BuildJoinCluster(dns, 8'000, dim_rows, state.range(3) != 0);
-  DistributedJoinOptions options;
-  options.strategy = state.range(2) == 0   ? JoinStrategy::kBroadcast
-                     : state.range(2) == 1 ? JoinStrategy::kRepartition
-                                           : JoinStrategy::kAuto;
-  DistributedJoinResult last;
+  const DistExecOptions options =
+      Forced(state.range(2) == 0   ? JoinStrategy::kBroadcast
+             : state.range(2) == 1 ? JoinStrategy::kRepartition
+                                   : JoinStrategy::kAuto);
+  const DistOpPtr plan = JoinPlan();
+  DistPlanResult last;
   for (auto _ : state) {
-    auto r = DistributedJoin(cluster.get(), JoinSpec(), options);
+    auto r = ExecuteDistPlan(cluster.get(), plan, options);
     if (r.ok()) last = std::move(r).ValueOrDie();
     benchmark::DoNotOptimize(last.table);
   }
+  const DistExecStats& st = last.stats;
   state.counters["moved_bytes"] =
-      static_cast<double>(last.shuffle_bytes + last.broadcast_bytes);
-  state.counters["naive_bytes"] = static_cast<double>(last.naive_bytes);
-  state.counters["batches"] = static_cast<double>(last.exchange_batches);
-  state.counters["sim_us"] = static_cast<double>(last.sim_latency_us);
-  state.counters["sim_serial_us"] =
-      static_cast<double>(last.sim_latency_serial_us);
+      static_cast<double>(st.shuffle_bytes + st.broadcast_bytes);
+  state.counters["naive_bytes"] = static_cast<double>(st.naive_bytes);
+  state.counters["batches"] = static_cast<double>(st.exchange_batches);
+  state.counters["sim_us"] = static_cast<double>(st.sim_latency_us);
 }
-BENCHMARK(BM_DistributedJoin)
+BENCHMARK(BM_DistHashJoin)
     ->ArgNames({"dns", "dim", "strat", "skew"})
     ->Args({4, 100, 0, 0})
     ->Args({4, 100, 1, 0})
@@ -100,15 +107,6 @@ BENCHMARK(BM_DistributedJoin)
     ->Args({8, 8000, 1, 0})
     ->Unit(benchmark::kMillisecond);
 
-const char* StratName(JoinStrategy s) {
-  switch (s) {
-    case JoinStrategy::kBroadcast: return "broadcast";
-    case JoinStrategy::kRepartition: return "repartition";
-    case JoinStrategy::kAuto: return "auto";
-  }
-  return "?";
-}
-
 /// Bytes moved per strategy vs the naive baseline, small and large build
 /// sides, uniform and skewed keys.
 void PrintMovementTable() {
@@ -119,18 +117,17 @@ void PrintMovementTable() {
   for (auto [dim_rows, skew] :
        {std::pair<int64_t, bool>{100, false}, {8000, false}, {8000, true}}) {
     auto cluster = BuildJoinCluster(4, 8'000, dim_rows, skew);
-    auto auto_r = DistributedJoin(cluster.get(), JoinSpec());
+    auto auto_r = ExecuteDistPlan(cluster.get(), JoinPlan());
     JoinStrategy chosen =
-        auto_r.ok() ? auto_r->strategy : JoinStrategy::kBroadcast;
+        auto_r.ok() ? auto_r->stats.strategy : JoinStrategy::kBroadcast;
     for (auto strat : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
-      DistributedJoinOptions options;
-      options.strategy = strat;
-      auto r = DistributedJoin(cluster.get(), JoinSpec(), options);
+      auto r = ExecuteDistPlan(cluster.get(), JoinPlan(), Forced(strat));
       if (!r.ok()) continue;
+      const DistExecStats& st = r->stats;
       printf("%-9lld %-8s %-12s %12zu %12zu %12zu %8s\n", (long long)dim_rows,
-             skew ? "zipf" : "uniform", StratName(strat),
-             r->shuffle_bytes + r->broadcast_bytes, r->naive_bytes,
-             r->exchange_batches, strat == chosen ? "<-" : "");
+             skew ? "zipf" : "uniform", ToString(strat),
+             st.shuffle_bytes + st.broadcast_bytes, st.naive_bytes,
+             st.exchange_batches, strat == chosen ? "<-" : "");
     }
   }
   printf("(broadcast ~ |small| x (N-1) wins on a small build side; "
@@ -146,12 +143,11 @@ void PrintSkewTable() {
          "imbal");
   for (bool skew : {false, true}) {
     auto cluster = BuildJoinCluster(4, 8'000, 8'000, skew);
-    DistributedJoinOptions options;
-    options.strategy = JoinStrategy::kRepartition;
-    auto r = DistributedJoin(cluster.get(), JoinSpec(), options);
+    auto r = ExecuteDistPlan(cluster.get(), JoinPlan(),
+                             Forced(JoinStrategy::kRepartition));
     if (!r.ok()) continue;
     std::map<int, size_t> in_bytes;
-    for (const auto& ch : r->channels) {
+    for (const auto& ch : r->stats.channels) {
       if (ch.src != ch.dst) in_bytes[ch.dst] += ch.bytes;
     }
     size_t max_in = 0, min_in = SIZE_MAX;
@@ -169,26 +165,22 @@ void PrintSkewTable() {
          "zipf — the classic shuffle-skew problem broadcast avoids)\n\n");
 }
 
-/// Both simulated-latency models across cluster sizes.
+/// Simulated max-over-DNs latency across cluster sizes.
 void PrintLatencyTable() {
-  printf("=== Distributed join: simulated latency, parallel vs chained ===\n");
-  printf("%-4s %-12s %14s %16s\n", "DNs", "strategy", "sim par (us)",
-         "sim serial (us)");
+  printf("=== Distributed join: simulated latency across cluster sizes ===\n");
+  printf("%-4s %-12s %14s\n", "DNs", "strategy", "sim par (us)");
   for (int dns : {2, 4, 8}) {
     auto cluster = BuildJoinCluster(dns, 8'000, 8'000, false);
     for (auto strat : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
-      DistributedJoinOptions options;
-      options.strategy = strat;
       cluster->ResetSimTime();
-      auto r = DistributedJoin(cluster.get(), JoinSpec(), options);
+      auto r = ExecuteDistPlan(cluster.get(), JoinPlan(), Forced(strat));
       if (!r.ok()) continue;
-      printf("%-4d %-12s %14lld %16lld\n", dns, StratName(strat),
-             (long long)r->sim_latency_us, (long long)r->sim_latency_serial_us);
+      printf("%-4d %-12s %14lld\n", dns, ToString(strat),
+             (long long)r->stats.sim_latency_us);
     }
   }
-  printf("(parallel: exchange completes at the slowest sender + one hop, so "
-         "repartition IMPROVES with DNs as each node ships/decodes 1/N; the "
-         "chained model grows with N)\n\n");
+  printf("(exchange completes at the slowest sender + one hop, so "
+         "repartition IMPROVES with DNs as each node ships/decodes 1/N)\n\n");
 }
 
 }  // namespace

@@ -11,8 +11,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
-#include "cluster/mpp_query.h"
+#include "cluster/distributed_plan.h"
 #include "common/rng.h"
 #include "optimizer/optimizer.h"
 #include "sql/executor.h"
@@ -188,7 +190,7 @@ BENCHMARK(BM_StarQueryNoPushdown)->Unit(benchmark::kMillisecond);
 /// vs the shared thread pool (range(1): 0 = serial, 1 = pool).
 void BM_DistributedFactAggregate(benchmark::State& state) {
   int dns = static_cast<int>(state.range(0));
-  cluster::DistributedOptions options;
+  cluster::DistExecOptions options;
   options.parallel = state.range(1) != 0;
   auto cl = std::make_unique<cluster::Cluster>(dns, cluster::Protocol::kGtmLite);
   Schema schema({Column{"k", TypeId::kInt64, "f"},
@@ -204,19 +206,24 @@ void BM_DistributedFactAggregate(benchmark::State& state) {
                     Value(rng.Uniform(0, 99)), Value(rng.Uniform(1, 500))});
     (void)t.Commit();
   }
-  cluster::DistributedResult last;
+  // Scan -> fused partial agg -> gather partials -> final agg at the CN.
+  std::vector<std::string> group_by = {"f.prod"};
+  std::vector<cluster::DistributedAgg> aggs = {
+      {sql::AggFunc::kSum, "f.amount", "total"},
+      {sql::AggFunc::kCount, "", "n"}};
+  const cluster::DistOpPtr plan = cluster::MakeDistFinalAgg(
+      cluster::MakeGather(
+          cluster::MakeDistPartialAgg(cluster::MakeDistScan("fact", nullptr),
+                                      group_by, aggs),
+          /*gather_rows=*/false),
+      group_by, aggs);
+  cluster::DistPlanResult last;
   for (auto _ : state) {
-    auto r = cluster::DistributedAggregate(
-        cl.get(), "fact", nullptr, {"f.prod"},
-        {{sql::AggFunc::kSum, "f.amount", "total"},
-         {sql::AggFunc::kCount, "", "n"}},
-        options);
+    auto r = cluster::ExecuteDistPlan(cl.get(), plan, options);
     if (r.ok()) last = std::move(r).ValueOrDie();
     benchmark::DoNotOptimize(last.table);
   }
-  state.counters["sim_us"] = static_cast<double>(last.sim_latency_us);
-  state.counters["sim_serial_us"] =
-      static_cast<double>(last.sim_latency_serial_us);
+  state.counters["sim_us"] = static_cast<double>(last.stats.sim_latency_us);
 }
 BENCHMARK(BM_DistributedFactAggregate)
     ->ArgNames({"dns", "pool"})

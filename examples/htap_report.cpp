@@ -8,8 +8,9 @@
 ///   ./example_htap_report
 #include <algorithm>
 #include <cstdio>
+#include <vector>
 
-#include "cluster/mpp_query.h"
+#include "cluster/distributed_plan.h"
 #include "cluster/tpcc_workload.h"
 #include "optimizer/sql_session.h"
 
@@ -107,19 +108,28 @@ int main() {
   // --- MPP path: scatter-gather aggregation without moving rows ---------------
   // The same kind of report, executed the MPP way (Fig. 1): each DN runs the
   // partial aggregate over its shard; only group-sized partial state crosses
-  // the network.
-  auto mpp = DistributedAggregate(
-      &cluster, "customer", sql::Expr::Lt("balance", sql::Value(1000)), {},
-      {{sql::AggFunc::kCount, "", "active_payers"},
-       {sql::AggFunc::kAvg, "balance", "avg_balance"}});
+  // the network. The plan: scan -> fused partial agg -> gather partials ->
+  // final agg at the CN.
+  std::vector<DistributedAgg> aggs = {
+      {sql::AggFunc::kCount, "", "active_payers"},
+      {sql::AggFunc::kAvg, "balance", "avg_balance"}};
+  DistOpPtr plan = MakeDistFinalAgg(
+      MakeGather(MakeDistPartialAgg(
+                     MakeDistScan("customer", sql::Expr::Lt(
+                                                  "balance", sql::Value(1000))),
+                     {}, aggs),
+                 /*gather_rows=*/false),
+      {}, aggs);
+  auto mpp = ExecuteDistPlan(&cluster, plan);
   if (mpp.ok()) {
+    const DistExecStats& st = mpp->stats;
     printf("-- MPP scatter-gather: customers who paid (balance < 1000)\n%s",
            mpp->table.ToString().c_str());
     printf("data moved DN->CN: %zu bytes of partial state (vs %zu bytes if "
            "every row shipped: %.0fx less)\n",
-           mpp->partial_bytes, mpp->naive_bytes,
-           static_cast<double>(mpp->naive_bytes) /
-               std::max<size_t>(1, mpp->partial_bytes));
+           st.partial_bytes, st.naive_bytes,
+           static_cast<double>(st.naive_bytes) /
+               std::max<size_t>(1, st.partial_bytes));
   }
   return 0;
 }

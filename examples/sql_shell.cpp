@@ -24,11 +24,9 @@
 /// each exchange channel's in-memory window to N bytes (overflow spills to
 /// disk and is reported after the query), `--spill-dir=PATH` picks the temp
 /// directory, `--spill-budget=N` caps live on-disk spill bytes,
-/// `--build-cap=N` caps the per-DN join build partition, and
-/// `--strict-exchange` restores the old deny-with-ResourceExhausted cap.
-/// `--pipeline[=workers]` runs producer and consumer fragments
-/// concurrently (pipelined exchange; falls back to barrier under
-/// --strict-exchange) with an optional executor thread count.
+/// and `--build-cap=N` caps the per-DN join build partition; a query whose
+/// spill outgrows the budget fails with ResourceExhausted. `--pipeline`
+/// runs producer and consumer fragments concurrently (pipelined exchange).
 /// `--no-index` disables the optimizer's secondary-index fast path
 /// (every SELECT scans) — the escape hatch for comparing plans.
 #include <cstdio>
@@ -45,9 +43,7 @@ int main(int argc, char** argv) {
   int num_dns = 0;  // 0 = single-node session
   size_t exchange_cap = 0, spill_budget = 0, build_cap = 0;
   std::string spill_dir;
-  bool strict_exchange = false;
   bool pipeline = false;
-  int pipeline_workers = 0;
   long long delta_merge_threshold = -1;  // -1 = keep the cluster default
   bool no_auto_merge = false;
   bool no_index = false;
@@ -68,17 +64,8 @@ int main(int argc, char** argv) {
       spill_budget = static_cast<size_t>(std::atoll(argv[i] + 15));
     } else if (std::strncmp(argv[i], "--build-cap=", 12) == 0) {
       build_cap = static_cast<size_t>(std::atoll(argv[i] + 12));
-    } else if (std::strcmp(argv[i], "--strict-exchange") == 0) {
-      strict_exchange = true;
     } else if (std::strcmp(argv[i], "--pipeline") == 0) {
       pipeline = true;
-    } else if (std::strncmp(argv[i], "--pipeline=", 11) == 0) {
-      pipeline = true;
-      pipeline_workers = std::atoi(argv[i] + 11);
-      if (pipeline_workers < 1) {
-        std::fprintf(stderr, "bad --pipeline=workers value\n");
-        return 1;
-      }
     } else if (std::strncmp(argv[i], "--delta-merge-threshold=", 24) == 0) {
       delta_merge_threshold = std::atoll(argv[i] + 24);
       if (delta_merge_threshold < 1) {
@@ -93,15 +80,15 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--distributed[=N]] [--exchange-cap=BYTES] "
                    "[--spill-dir=PATH] [--spill-budget=BYTES] "
-                   "[--build-cap=BYTES] [--strict-exchange] "
-                   "[--pipeline[=workers]] [--delta-merge-threshold=N] "
+                   "[--build-cap=BYTES] [--pipeline] "
+                   "[--delta-merge-threshold=N] "
                    "[--no-auto-merge] [--no-index]\n",
                    argv[0]);
       return 1;
     }
   }
   if (num_dns == 0 && (exchange_cap || spill_budget || build_cap ||
-                       !spill_dir.empty() || strict_exchange || pipeline ||
+                       !spill_dir.empty() || pipeline ||
                        delta_merge_threshold >= 0 || no_auto_merge ||
                        no_index)) {
     std::fprintf(stderr, "exchange/spill knobs need --distributed\n");
@@ -113,12 +100,10 @@ int main(int argc, char** argv) {
   if (num_dns > 0) {
     dist = std::make_unique<cluster::DistributedSqlSession>(num_dns);
     dist->exec_options().max_channel_bytes = exchange_cap;
-    dist->exec_options().strict_channel_limit = strict_exchange;
     dist->exec_options().spill_dir = spill_dir;
     dist->exec_options().max_spill_bytes = spill_budget;
     dist->exec_options().max_build_bytes = build_cap;
     dist->exec_options().pipeline = pipeline;
-    dist->exec_options().pipeline_workers = pipeline_workers;
     dist->exec_options().use_index = !no_index;
     if (delta_merge_threshold >= 0) {
       dist->cluster().set_delta_merge_threshold(
@@ -197,7 +182,7 @@ int main(int argc, char** argv) {
                    (long long)info.stats.sim_latency_us);
             std::string scans = dist->LastScanReport();
             if (!scans.empty()) printf("%s", scans.c_str());
-            if (info.stats.pipelined) {
+            if (pipeline) {
               printf("pipeline: overlap_us=%lld batches_streamed=%zu\n",
                      (long long)info.stats.pipeline_overlap_us,
                      info.stats.batches_streamed);

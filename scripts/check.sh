@@ -21,7 +21,7 @@ run_preset() {
   # never skip the reason this gate exists.
   echo "=== ${preset}: exchange/join/columnar/distributed-sql/traffic focus ==="
   ctest --preset "${preset}" \
-    -R "exchange|distributed_join|vacuum_exchange|column_store|column_scan|column_groupby|columnar_mpp|distributed_sql|distributed_groupby|exchange_limit|exchange_spill|exchange_pipeline|columnar_refresh|htap_freshness|traffic|admission_queue|group_commit|tpcc|secondary_index" \
+    -R "exchange|distributed_join|vacuum_exchange|column_store|column_scan|column_groupby|columnar_mpp|mpp_query|distributed_sql|distributed_groupby|exchange_limit|exchange_spill|exchange_pipeline|columnar_refresh|htap_freshness|traffic|admission_queue|group_commit|tpcc|secondary_index" \
     --output-on-failure
   echo "=== ${preset}: sql shell smoke (distributed) ==="
   scripts/sql_shell_smoke.sh "build-${preset}"

@@ -64,7 +64,7 @@ class Txn {
   /// Visible-row scan of one shard (tests / examples).
   Result<std::vector<sql::Row>> ScanShard(const std::string& table, int dn);
 
-  // --- Parallel MPP scatter support (see cluster/mpp_query.cc) --------------
+  // --- Parallel MPP scatter support (see cluster/distributed_plan.cc) -------
   /// Opens this transaction's context on `dn` (local xid + local snapshot +
   /// Algorithm-1 merge for multi-shard GTM-lite), charging the merge work as
   /// an independent request arriving at `arrival` on that DN instead of

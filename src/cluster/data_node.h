@@ -67,7 +67,7 @@ class DataNode {
   /// Returns the number of transactions resolved.
   int RecoverInDoubt(const txn::Gtm& gtm);
 
-  // --- Columnar side-store (OLAP scan path, see cluster/mpp_query) ----------
+  // --- Columnar side-store (OLAP scan path, see cluster/distributed_plan) ---
   /// One table's columnar copy on this DN: a storage::DeltaShard of sealed
   /// chunks plus the row-format delta tail the heap's change listener feeds
   /// (see storage/delta_store.h). Scans union sealed kernels with the tail,

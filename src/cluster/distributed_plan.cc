@@ -635,17 +635,15 @@ std::string AggListToString(const std::vector<std::string>& group_by,
 }
 
 /// \brief Executes one distributed physical plan inside one multi-shard
-/// snapshot, replaying the exact simulated charge sequence of the old
-/// monolithic entry points.
+/// snapshot.
 ///
 /// Latency model: `frontier_[i]` tracks when serving node i finishes its
 /// last charged statement (starting at scatter_start). Fragments advance
 /// the frontier — prepare, scan statement(s), exchange, join statement —
-/// and the run completes at max over frontiers plus the CN gather cost,
-/// while the comparison serial model sums the per-DN frontiers. Because
-/// the SimScheduler's gap-fitting Charge is order-independent across
-/// distinct resources, decomposing one monolithic loop into per-fragment
-/// loops leaves every per-DN completion time bit-identical as long as the
+/// and the run completes at max over frontiers plus the CN gather cost.
+/// Because the SimScheduler's gap-fitting Charge is order-independent
+/// across distinct resources, running the DNs' fragments in per-fragment
+/// loops leaves every per-DN completion time deterministic as long as the
 /// per-resource charge order is preserved — which the frontier guarantees.
 class DistPlanExecutor {
  public:
@@ -678,10 +676,6 @@ class DistPlanExecutor {
   Cluster* cluster_;
   DistExecOptions opts_;
   size_t batch_rows_;
-  // Pipelined fragment execution is in effect (requested and not voided by
-  // strict_channel_limit, whose deny-vs-succeed outcome would otherwise
-  // depend on how far the consumer happened to drain the window).
-  bool pipeline_on_ = false;
 
   std::vector<int> serving_;
   int n_ = 0;
@@ -701,8 +695,8 @@ class DistPlanExecutor {
   size_t left_key_idx_ = 0, right_key_idx_ = 0;
 
   DistExecStats stats_;
-  // Metrics the old entry points only emitted after Commit; recorded during
-  // fragment execution and replayed in Run() at the same point.
+  // Metrics emitted only after Commit; recorded during fragment execution
+  // and replayed in Run() once the snapshot commits.
   std::vector<std::pair<std::string, int64_t>> pending_metrics_;
 };
 
@@ -713,9 +707,6 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
         "must not nest ParallelFor (disable the scatter parallelism to "
         "morsel-parallelize within shards)");
   }
-  pipeline_on_ = opts_.pipeline && !opts_.strict_channel_limit;
-  stats_.pipelined = pipeline_on_;
-
   // Shape: FinalAgg? -> Gather -> PartialAgg? -> (DistScan | DistHashJoin
   // over two (optionally exchange-wrapped) DistScans).
   const DistOp* node = root.get();
@@ -782,8 +773,8 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
   const DistOp* index_scan =
       core->kind == DistOpKind::kDistIndexScan ? core : nullptr;
 
-  // Aggregate decomposition before any transaction begins (same order as
-  // the old entry point: plan validation errors surface first).
+  // Aggregate decomposition before any transaction begins, so plan
+  // validation errors surface first.
   if (final_agg != nullptr) {
     agg_group_ = final_agg->group_by;
     agg_specs_ = final_agg->aggs;
@@ -804,30 +795,8 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
   n_ = static_cast<int>(serving_.size());
   stats_.num_serving = n_;
 
-  // Opt-in auto-refresh: force-merge the delta tails of the scanned tables
-  // before the snapshot opens, so the scan runs against freshly sealed
-  // chunks instead of paying the row-path union over a long tail. Purely a
-  // latency knob — results are identical either way — and a quiescent
-  // cluster pays nothing (merging an empty tail is a no-op).
-  if (opts_.auto_refresh_columnar) {
-    const DistOp* scans[2] = {left_scan != nullptr ? left_scan : core,
-                              right_scan};
-    for (const DistOp* s : scans) {
-      if (s == nullptr || s->kind != DistOpKind::kDistScan) continue;
-      if (s->path != ScanPath::kColumnar || !cluster_->IsColumnar(s->table)) {
-        continue;
-      }
-      OFI_ASSIGN_OR_RETURN(size_t merged, cluster_->RefreshColumnar(s->table));
-      if (merged > 0) {
-        cluster_->metrics().Add("columnar.auto_refreshes",
-                                static_cast<int64_t>(merged));
-      }
-    }
-  }
-
-  // Join key resolution happens before Begin (as the old DistributedJoin
-  // did); schemas are identical on every DN, so the first serving node is
-  // authoritative.
+  // Join key resolution happens before Begin; schemas are identical on
+  // every DN, so the first serving node is authoritative.
   if (left_scan != nullptr) {
     OFI_ASSIGN_OR_RETURN(storage::MvccTable * left0,
                          cluster_->dn(serving_[0])->GetTable(left_scan->table));
@@ -916,11 +885,7 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
   }
 
   SimTime parallel_done = scatter_start_;
-  SimTime serial_sum = 0;
-  for (SimTime f : frontier_) {
-    parallel_done = std::max(parallel_done, f);
-    serial_sum += f - scatter_start_;
-  }
+  for (SimTime f : frontier_) parallel_done = std::max(parallel_done, f);
   // The CN pays the per-partial merge, plus a size-aware receive when the
   // gathered state is row-shaped (joins and plain scans, unlike aggregates,
   // gather row-sized state).
@@ -931,7 +896,7 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
         exchange::ExchangeServiceTime(stats_.result_bytes, 0, ExchangeParams());
   }
   SimTime cn_done;
-  if (pipeline_on_) {
+  if (opts_.pipeline) {
     // Pipelined gather: the CN merges DN i's output the moment that DN is
     // done (still in DN order — results are gathered identically), instead
     // of waiting behind the slowest DN. Telescoped cumulative KiB keeps the
@@ -962,12 +927,11 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
     cn_done = parallel_done + gather_cost;
   }
   stats_.sim_latency_us = cn_done - scatter_start_;
-  stats_.sim_latency_serial_us = serial_sum + gather_cost;
   // The CN resumes once the last partial has been gathered.
   reader.AdvanceTo(cn_done);
   OFI_RETURN_NOT_OK(reader.Commit());
   reader_ = nullptr;
-  if (pipeline_on_) {
+  if (opts_.pipeline) {
     pending_metrics_.emplace_back(
         "pipeline.overlap_us",
         static_cast<int64_t>(stats_.pipeline_overlap_us));
@@ -1497,11 +1461,10 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
   // channels whose source is its own node, so sends are race-free by
   // construction (channels are mutex-guarded regardless). A channel byte
   // limit bounds the in-memory window; overflow spills to per-channel temp
-  // files (or is denied under strict_channel_limit / an exhausted spill
-  // budget). One budget spans both relations' networks and the build side.
+  // files (or is denied once the spill budget is exhausted). One budget
+  // spans both relations' networks and the build side.
   exchange::SpillBudget spill_budget(opts_.max_spill_bytes);
-  exchange::ExchangeSpillConfig spill_cfg{
-      opts_.spill_dir, opts_.strict_channel_limit, &spill_budget};
+  exchange::ExchangeSpillConfig spill_cfg{opts_.spill_dir, &spill_budget};
   exchange::ExchangeNetwork left_net(n_, batch_rows_, opts_.max_channel_bytes,
                                      spill_cfg);
   exchange::ExchangeNetwork right_net(n_, batch_rows_, opts_.max_channel_bytes,
@@ -1523,8 +1486,7 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
   // broadcast would ship) is spooled through a capped local spill channel
   // and re-read before the join: encode/decode is lossless, so the result
   // is bit-identical and the overflow only costs simulated spill I/O.
-  exchange::ExchangeSpillConfig build_cfg{opts_.spill_dir, /*strict=*/false,
-                                          &spill_budget};
+  exchange::ExchangeSpillConfig build_cfg{opts_.spill_dir, &spill_budget};
   std::vector<FragSlot>& slots = *slots_out;
   auto consume_at = [&](int j, bool wait) {
     FragSlot& slot = slots[static_cast<size_t>(j)];
@@ -1624,7 +1586,7 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
     }
   };
 
-  if (!pipeline_on_) {
+  if (!opts_.pipeline) {
     // Barrier mode: every producer fully scatters, then every consumer
     // joins. The scatter and join phases each fan out on the shared pool.
     if (strategy == JoinStrategy::kBroadcast) {
@@ -1657,13 +1619,13 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
   } else {
     // Pipelined mode: all N producers and all N consumers run together on
     // a dedicated pool so DistHashJoin's probe assembly starts while the
-    // upstream scatters are still streaming batches. The pool is sized to
-    // at least one thread per fragment (2N): fewer could park a producer
-    // behind consumers blocked in PopBatchWait. The shared fixed-size pool
+    // upstream scatters are still streaming batches. The pool has one
+    // thread per fragment (2N): fewer could park a producer behind
+    // consumers blocked in PopBatchWait. The shared fixed-size pool
     // is deliberately not used — its workers must never block on each
     // other (ParallelFor must not nest), and these consumers block by
     // design.
-    common::ThreadPool pipe_pool(std::max(2 * n_, opts_.pipeline_workers));
+    common::ThreadPool pipe_pool(2 * n_);
     std::latch all_done(static_cast<std::ptrdiff_t>(2 * n_));
     for (int i = 0; i < n_; ++i) {
       pipe_pool.Submit([&, i] {
@@ -1735,7 +1697,7 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
     resources[static_cast<size_t>(i)] = cluster_->dn_resource(serving_[i]);
   }
   std::vector<SimTime> exchange_done;
-  if (pipeline_on_) {
+  if (opts_.pipeline) {
     exchange::PipelinedSimResult sim = exchange::SimulatePipelinedExchange(
         &cluster_->scheduler(), resources, {&left_net, &right_net}, send_logs,
         frontier_, params);

@@ -1,8 +1,8 @@
 /// \file distributed_plan.h
 /// \brief The distributed physical-operator layer (paper Fig. 1: the CN
-/// "plans SQL and executes it across data nodes"). What used to be two
-/// monolithic entry points (DistributedAggregate / DistributedJoin in
-/// mpp_query.cc) is decomposed into composable physical operators:
+/// "plans SQL and executes it across data nodes"). Every distributed query
+/// is a small tree of composable physical operators run by one executor,
+/// ExecuteDistPlan:
 ///
 ///   DistScan       per-DN shard scan (row store or columnar kernels) with
 ///                  the filter pushed below any data movement
@@ -13,18 +13,16 @@
 ///   DistHashJoin   per-DN src/sql hash join over local + exchanged rows
 ///   DistPartialAgg per-DN partial aggregation, fused into its child
 ///                  fragment's statement (scan+agg or join+agg is one
-///                  statement on the DN, matching the monolith's accounting)
+///                  statement on the DN)
 ///   Gather         CN-side union of per-DN partials in DN order
 ///   DistFinalAgg   CN-side final aggregation (COUNT->sum of counts,
 ///                  AVG->sum/count division) over the gathered partials
 ///
 /// Each operator carries its own data-movement and max-over-DNs simulated
-/// latency accounting; executing the tree a shim builds reproduces the old
-/// DistributedResult / DistributedJoinResult numbers bit-identically (the
-/// SimScheduler's gap-fitting Charge is order-independent across distinct
-/// resources, so the per-DN arrival chaining is the only thing that
-/// matters, and the fragment executor preserves it: prepare -> scan
-/// stmt(s) -> exchange -> join stmt per DN).
+/// latency accounting. The SimScheduler's gap-fitting Charge is
+/// order-independent across distinct resources, so only the per-DN charge
+/// order matters, and the fragment executor fixes it: prepare -> scan
+/// stmt(s) -> exchange -> join stmt per DN.
 ///
 /// On top sits a lowering pass (LowerSelectPlan) from the sql::PlanSelect
 /// logical plan to a distributed physical plan — columnar vs row scan from
@@ -39,10 +37,35 @@
 #include <string>
 #include <vector>
 
-#include "cluster/mpp_query.h"
+#include "cluster/cluster.h"
+#include "cluster/exchange/exchange.h"
+#include "common/thread_pool.h"
+#include "optimizer/stats.h"
 #include "sql/plan.h"
 
 namespace ofi::cluster {
+
+/// One requested aggregate.
+struct DistributedAgg {
+  sql::AggFunc func = sql::AggFunc::kCount;
+  std::string column;  // ignored for COUNT(*)
+  std::string name;
+};
+
+/// How the two sides of a distributed join are moved so matching keys meet.
+enum class JoinStrategy {
+  /// Choose from estimated side sizes: broadcast the smaller side when
+  /// |small| x (N-1) < (|L|+|R|) x (N-1)/N, repartition otherwise. Estimates
+  /// come from optimizer stats when provided, else from the actual scanned
+  /// encoded sizes.
+  kAuto,
+  /// Ship the (smaller) build side, whole, to every DN; the probe side
+  /// never moves. Bytes ~ |build| x (N-1).
+  kBroadcast,
+  /// Hash-partition BOTH sides on the join key; row with key k goes to DN
+  /// hash(k) % N. Bytes ~ (|L|+|R|) x (N-1)/N.
+  kRepartition,
+};
 
 enum class DistOpKind : uint8_t {
   kDistScan,
@@ -149,39 +172,39 @@ DistOpPtr MakeGather(DistOpPtr child, bool gather_rows);
 
 // --- Execution ---------------------------------------------------------------
 
-/// Knobs for executing a distributed physical plan (the union of the old
-/// DistributedOptions and DistributedJoinOptions knobs).
+/// Knobs for executing a distributed physical plan.
 struct DistExecOptions {
+  /// Run per-DN fragments on the shared thread pool. When false the scatter
+  /// executes inline on the caller thread. Results and simulated latencies
+  /// are identical either way — partials are always merged in DN order.
   bool parallel = true;
   /// Let LowerSelectPlan choose a DistIndexScan when a predicate binds an
   /// indexed column and stats predict it is cheaper than the scan. Off =
   /// always scan (the sql_shell --no-index escape hatch); execution of an
   /// already-lowered index plan is unaffected.
   bool use_index = true;
+  /// Pool override; nullptr uses common::ThreadPool::Shared().
   common::ThreadPool* pool = nullptr;
   bool use_columnar = true;
   /// Morsel-parallel columnar shard scans. Only valid with parallel ==
   /// false (pool workers must not nest ParallelFor); the combination with
   /// parallel == true is rejected with InvalidArgument.
   bool columnar_morsel_parallel = false;
+  /// Rows per serialized exchange batch.
   size_t batch_rows = 64;
   /// Per-exchange-channel in-memory queued-byte cap; 0 = unbounded. A Send
   /// over the cap transparently spills the batch to a per-channel temp file
   /// (results stay bit-identical, the query just pays spill I/O in
-  /// simulated time); the old fail-with-ResourceExhausted behavior is kept
-  /// behind strict_channel_limit (see exchange.h).
+  /// simulated time; see exchange.h).
   size_t max_channel_bytes = 0;
-  /// Opt-in hard admission control: deny over-cap sends with
-  /// ResourceExhausted instead of spilling (counted in
-  /// exchange.bytes_denied, never exchange.bytes_spilled).
-  bool strict_channel_limit = false;
   /// Directory for exchange/build spill segment files; empty = the system
   /// temp directory. Segments are deleted as they are consumed and always
   /// by the time the query returns, success or failure.
   std::string spill_dir;
   /// Cap on this query's total live on-disk spill bytes across every
   /// exchange channel and join build side; 0 = unbounded. Exhausting it is
-  /// the one remaining overflow failure mode (ResourceExhausted).
+  /// the one overflow failure mode (ResourceExhausted, counted in
+  /// exchange.bytes_denied).
   size_t max_spill_bytes = 0;
   /// Per-DN cap on the in-memory hash-join build partition; a build side
   /// exceeding it is spooled through a spill channel and re-read at build
@@ -192,11 +215,6 @@ struct DistExecOptions {
   const optimizer::StatsRegistry* stats = nullptr;
   /// Forced join strategy; kAuto defers to the plan node, then to cost.
   JoinStrategy strategy_override = JoinStrategy::kAuto;
-  /// Opt-in: rebuild stale columnar shards (Cluster::RefreshColumnar)
-  /// before a plan with columnar scans runs, so writes between queries do
-  /// not silently demote shards to the row path. Rebuilt shards are counted
-  /// by the `columnar.auto_refreshes` metric.
-  bool auto_refresh_columnar = false;
   /// Bench/test knob: force the columnar materialize (Gather + row
   /// aggregate) path even when the fused aggregate is kernel-eligible —
   /// isolates kernel-vs-materialize cost on identical data and plans.
@@ -206,32 +224,32 @@ struct DistExecOptions {
   /// drain concurrently with blocking pops, so the join probe / final merge
   /// starts before the slowest producer finishes. Results are bit-identical
   /// to barrier execution; only simulated latency changes (per-batch
-  /// overlap-aware accounting, see SimulatePipelinedExchange). Ignored —
-  /// falls back to the barrier — under strict_channel_limit, whose
-  /// deny-on-overflow outcome would otherwise depend on consumer timing.
+  /// overlap-aware accounting, see SimulatePipelinedExchange). The pipelined
+  /// tasks run on a dedicated pool of 2×(serving DNs) threads, so every
+  /// blocking consumer can coexist with every producer.
   bool pipeline = false;
-  /// Threads for the pipelined producer/consumer tasks; the executor always
-  /// uses at least 2×(serving DNs) so every blocking consumer can coexist
-  /// with every producer (fewer would deadlock until the pop deadline).
-  /// 0 = exactly that minimum.
-  int pipeline_workers = 0;
 };
 
-/// Accounting produced by one distributed plan execution — the union of
-/// the DistributedResult and DistributedJoinResult number sets, filled in
-/// by whichever operators ran.
+/// Accounting produced by one distributed plan execution, filled in by
+/// whichever operators ran.
 struct DistExecStats {
+  /// Simulated CN-observed latency: max over DNs of each DN's fragment
+  /// work on its own serialized resource, plus the CN gather.
   SimTime sim_latency_us = 0;
-  SimTime sim_latency_serial_us = 0;
   int num_serving = 0;
   // Aggregate-path accounting.
+  /// Bytes of partial state shipped DN -> CN.
   size_t partial_bytes = 0;
+  /// Bytes a naive plan — ship every (filtered) row to one node — would
+  /// have moved.
   size_t naive_bytes = 0;
+  /// Shards served from the columnar store (0 = pure row path).
   size_t columnar_shards = 0;
   storage::ScanStats scan_stats;
   /// What each DN actually did for each scanned table (`path` is the
-  /// realized flavor, e.g. "columnar(grouped-kernel)" or "row(stale)") with
-  /// that shard's scan counters — the per-DN breakdown of scan_stats.
+  /// realized flavor, e.g. "columnar(grouped-kernel)" or
+  /// "row(filter not recognized)") with that shard's scan counters — the
+  /// per-DN breakdown of scan_stats.
   struct DnScanInfo {
     int dn = 0;
     std::string table;
@@ -241,10 +259,13 @@ struct DistExecStats {
   std::vector<DnScanInfo> per_dn;
   // Join-path accounting.
   bool joined = false;
+  /// Strategy actually executed (kAuto resolved).
   JoinStrategy strategy = JoinStrategy::kBroadcast;
+  /// Broadcast only: true if the left side was the broadcast (build) side.
   bool broadcast_left = false;
   size_t shuffle_bytes = 0;
   size_t broadcast_bytes = 0;
+  /// Encoded bytes of joined rows gathered DN -> CN.
   size_t result_bytes = 0;
   size_t exchange_batches = 0;
   /// Exchange payload spilled to temp files by capped channels (loopback
@@ -254,11 +275,9 @@ struct DistExecStats {
   /// Join build partitions spooled to disk under max_build_bytes, summed
   /// over DNs.
   size_t build_spill_bytes = 0;
+  /// Per-(src DN, dst DN) byte/batch accounting, loopback included.
   std::vector<exchange::ChannelStats> channels;
   // Pipelined-execution accounting (DistExecOptions::pipeline).
-  /// True when the pipelined scheduler actually ran (pipeline requested and
-  /// not voided by strict_channel_limit).
-  bool pipelined = false;
   /// Batches consumers drained through the blocking pipelined path
   /// (loopback included).
   size_t batches_streamed = 0;
@@ -274,10 +293,14 @@ struct DistPlanResult {
 };
 
 /// Executes a distributed physical plan on the cluster inside one
-/// multi-shard snapshot. The root must be a Gather, optionally under a
-/// DistFinalAgg. Replays the monolithic entry points' exact simulated
-/// charge sequences, so a plan built by the DistributedAggregate /
-/// DistributedJoin shims reproduces their historical numbers.
+/// multi-shard snapshot (single-shard when an index probe pins the plan to
+/// one DN). The root must be a Gather, optionally under a DistFinalAgg.
+/// This is the one way a distributed query runs: SQL lowered by
+/// LowerSelectPlan and hand-built plans (MakeGather over MakeDistScan /
+/// MakeDistHashJoin, with MakeDistPartialAgg + MakeDistFinalAgg for a
+/// scatter-gather aggregate) take the same path. With replication enabled,
+/// shards whose primary is down are served (exactly once) by the promoted
+/// backup.
 Result<DistPlanResult> ExecuteDistPlan(Cluster* cluster, const DistOpPtr& root,
                                        const DistExecOptions& options = {});
 
@@ -308,9 +331,11 @@ DistLowering LowerSelectPlan(const sql::PlanPtr& logical, Cluster* cluster,
                              const DistExecOptions& options = {});
 
 /// Per-DN scan forecast for EXPLAIN: for every DistScan in the plan, one
-/// line per serving DN with the predicted path (columnar fresh / stale /
-/// row), the shard's chunk count and the zone-map pruning estimate for the
-/// scan's recognized filter — computed from metadata only, nothing runs.
+/// line per serving DN with the predicted path (columnar or row), the
+/// shard's sealed chunk and delta-tail row counts and the zone-map pruning
+/// estimate for the scan's
+/// recognized filter; for every DistIndexScan, one line per probed DN —
+/// computed from metadata only, nothing runs.
 std::string ExplainScanPaths(Cluster* cluster, const DistOpPtr& root);
 
 /// The nodes serving data, one entry per live serving node (after failover

@@ -188,28 +188,19 @@ Result<std::string> DistributedSqlSession::Explain(const std::string& query) {
                     std::to_string(ServingDns(&cluster_).size()) + " DNs)\n" +
                     lowering.root->ToString();
   // Execution mode: pipelined fragments overlap produce/consume across the
-  // exchange; strict channel limits force the barrier (deny outcomes would
-  // otherwise depend on drain timing).
-  if (exec_options_.pipeline) {
-    out += exec_options_.strict_channel_limit
-               ? "exec=barrier (pipeline disabled under strict channel limit)\n"
-               : "exec=pipelined\n";
-  }
-  // Per-DN scan forecast (predicted path, shard freshness, zone-map prune
-  // estimate) — metadata only, nothing executes.
+  // exchange.
+  if (exec_options_.pipeline) out += "exec=pipelined\n";
+  // Per-DN scan forecast (predicted path, sealed chunks and delta-tail
+  // rows, zone-map prune estimate) — metadata only, nothing executes.
   std::string paths = ExplainScanPaths(&cluster_, lowering.root);
   if (!paths.empty()) out += "scan forecast:\n" + paths;
   // Exchange overflow policy: only worth a line when a cap is set.
   if (exec_options_.max_channel_bytes > 0) {
     out += "exchange: channel cap " +
-           std::to_string(exec_options_.max_channel_bytes) + "B, overflow " +
-           (exec_options_.strict_channel_limit ? std::string("denied (strict)")
-                                               : std::string("spills to ") +
-                                                     (exec_options_.spill_dir
-                                                          .empty()
-                                                          ? "system temp dir"
-                                                          : exec_options_
-                                                                .spill_dir));
+           std::to_string(exec_options_.max_channel_bytes) +
+           "B, overflow spills to " +
+           (exec_options_.spill_dir.empty() ? "system temp dir"
+                                            : exec_options_.spill_dir);
     if (exec_options_.max_spill_bytes > 0) {
       out += ", spill budget " + std::to_string(exec_options_.max_spill_bytes) +
              "B";

@@ -348,7 +348,7 @@ Status ExchangeChannel::Send(std::string batch, const SendLimits& limits) {
     return Status::OK();
   }
   const ExchangeSpillConfig* spill = limits.spill;
-  if (spill == nullptr || spill->strict) {
+  if (spill == nullptr) {
     denied_bytes_ += size;
     return Status::ResourceExhausted(
         "exchange channel over byte limit (" +

@@ -25,18 +25,19 @@
 /// instead of failing. Spilled segments are re-read in send order on the
 /// receive path, so delivery order — and therefore query results — are
 /// bit-identical to the uncapped run; the query just pays disk I/O in
-/// simulated time (see ExchangeLatencyParams). The historical deny-on-cap
-/// behavior survives behind an opt-in strict mode (ExchangeSpillConfig::
-/// strict), and a shared SpillBudget bounds total on-disk bytes per query.
+/// simulated time (see ExchangeLatencyParams). A shared SpillBudget bounds
+/// total on-disk bytes per query; exhausting it denies the send with
+/// ResourceExhausted, and a capped channel with no spill config denies
+/// outright.
 ///
 /// The simulated latency model is consistent with the max-over-DNs scatter
-/// in cluster/mpp_query.h: every node serializes+sends its outgoing traffic
-/// and decodes its incoming traffic as work on its own serialized resource
-/// (per-batch overhead + per-KiB payload cost, see LatencyModel), and the
-/// exchange completes on node j when the slowest contributing sender has
-/// finished plus one network hop — not the serial sum over nodes (which
-/// callers still report for comparison). Spilled bytes additionally charge
-/// a disk write + read per KiB on the receiving node's resource.
+/// in cluster/distributed_plan.h: every node serializes+sends its outgoing
+/// traffic and decodes its incoming traffic as work on its own serialized
+/// resource (per-batch overhead + per-KiB payload cost, see LatencyModel),
+/// and the exchange completes on node j when the slowest contributing
+/// sender has finished plus one network hop — not the serial sum over
+/// nodes. Spilled bytes additionally charge a disk write + read per KiB on
+/// the receiving node's resource.
 #pragma once
 
 #include <atomic>
@@ -122,11 +123,8 @@ struct SpillBudget {
 struct ExchangeSpillConfig {
   /// Directory for spill segment files; empty = the system temp directory.
   std::string temp_dir;
-  /// Opt-in strict mode: deny with ResourceExhausted instead of spilling
-  /// (the historical behavior, kept for hard admission-control setups).
-  bool strict = false;
   /// Shared on-disk byte budget; nullptr = unbounded. Exhaustion denies
-  /// like strict mode — the one overflow failure mode that remains.
+  /// with ResourceExhausted — the one overflow failure mode.
   SpillBudget* budget = nullptr;
 };
 
@@ -183,7 +181,8 @@ struct ChannelStats {
 ///
 /// The in-memory queue is bounded by SendLimits::max_queued_bytes
 /// (backpressure): an over-cap Send spills the batch to the channel's temp
-/// file instead of growing the queue (or being denied — strict mode only).
+/// file instead of growing the queue (or is denied when the channel has no
+/// spill config or the spill budget is exhausted).
 /// Once any segment is on disk, subsequent sends spill too until the spill
 /// is fully consumed, so disk never reorders ahead of memory.
 class ExchangeChannel {
@@ -276,7 +275,7 @@ class ExchangeChannel {
     std::lock_guard lock(mu_);
     return queued_bytes_;
   }
-  /// Payload refused by strict mode or an exhausted spill budget.
+  /// Payload refused for lack of a spill config or an exhausted budget.
   size_t denied_bytes() const {
     std::lock_guard lock(mu_);
     return denied_bytes_;
@@ -331,7 +330,7 @@ class ExchangeChannel {
   size_t bytes_ = 0;    // lifetime accepted payload, rolled back on Discard
   size_t batches_ = 0;
   size_t queued_bytes_ = 0;   // currently in queue_; receives decrement
-  size_t denied_bytes_ = 0;   // refused by strict mode / budget
+  size_t denied_bytes_ = 0;   // refused: no spill config / budget
   size_t spilled_bytes_ = 0;  // lifetime payload written to disk
   size_t spill_segments_ = 0;
   size_t aborted_bytes_ = 0;  // dropped by Discard / RollbackTo
@@ -374,8 +373,8 @@ class ExchangeNetwork {
 
   /// Encodes `rows` into batches of at most batch_rows() and sends them
   /// src -> dst. Safe to call concurrently for distinct `src`. Over-cap
-  /// batches spill to disk; fails with ResourceExhausted only in strict
-  /// mode or when the spill budget is exhausted.
+  /// batches spill to disk; fails with ResourceExhausted only without a
+  /// spill config or when the spill budget is exhausted.
   Status SendRows(int src, int dst, const std::vector<sql::Row>& rows);
 
   /// Streams and decodes everything addressed to `dst`, one batch at a
@@ -410,7 +409,7 @@ class ExchangeNetwork {
   size_t OutBatches(int src) const;
   size_t InBytes(int dst) const;
   size_t InBatches(int dst) const;
-  /// Total payload denied across every channel (strict mode / spill budget).
+  /// Total payload denied across every channel (no spill config / budget).
   size_t DeniedBytes() const;
   /// Total payload spilled to disk across every channel (loopback included —
   /// the disk write is real even when the network hop is not).
@@ -509,7 +508,7 @@ class StreamingScatter {
 /// num_nodes and sends each partition from `src` to its owning node,
 /// preserving relative row order within each partition. Rows with NULL keys
 /// are routed like any other value (an inner join drops them at the probe).
-/// On failure (strict mode / spill budget) every batch this call already
+/// On failure (no spill config / spill budget) every batch this call already
 /// queued is rolled back, so a failed shuffle leaves the network's byte and
 /// batch accounting untouched (the payload is counted in AbortedBytes).
 Status ShufflePartition(ExchangeNetwork* net, int src,

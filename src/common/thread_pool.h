@@ -3,11 +3,11 @@
 /// scatter path. The paper's CN fans a query out to all DNs *concurrently*
 /// (Fig. 1: "they exchange data on-demand and execute the query in
 /// parallel"); the pool is what makes that true on the wall clock, while
-/// the latency model (max-over-DNs, see cluster/mpp_query.h) makes it true
-/// in simulated time. One central FIFO queue, N worker threads: simple,
-/// deterministic to reason about, and sufficient for shard-grained tasks
-/// (work stealing pays off for fine-grained irregular tasks, which scatter
-/// is not).
+/// the latency model (max-over-DNs, see cluster/distributed_plan.h) makes
+/// it true in simulated time. One central FIFO queue, N worker threads:
+/// simple, deterministic to reason about, and sufficient for shard-grained
+/// tasks (work stealing pays off for fine-grained irregular tasks, which
+/// scatter is not).
 #pragma once
 
 #include <condition_variable>

@@ -131,7 +131,7 @@ struct ScanStats {
 /// \brief Execution knobs for the morsel scan driver. Results are
 /// bit-identical between parallel and serial execution: morsels are fixed
 /// chunk ranges merged back in chunk order (same contract as the MPP
-/// scatter-gather in cluster/mpp_query). parallel=true must not be used
+/// scatter-gather in cluster/distributed_plan). parallel=true must not be used
 /// from inside a pool task (ThreadPool::ParallelFor restriction).
 struct ScanOptions {
   bool parallel = false;

@@ -1,4 +1,4 @@
-/// The columnar MPP scan path: every DistributedAggregate shape must return
+/// The columnar MPP scan path: every aggregate plan shape must return
 /// exactly what the row path returns (zone maps, kernels, morsels and the
 /// gather fallback are pure execution detail), writes must be served
 /// immediately through the delta-tail union (freshness is a property, not a
@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/mpp_query.h"
 #include "common/rng.h"
+#include "dist_plans.h"
 #include "sql/executor.h"
 
 namespace ofi::cluster {
@@ -49,7 +49,7 @@ void ExpectSameTable(const sql::Table& got, const sql::Table& want) {
 }
 
 /// 400 rows with NULL amounts sprinkled in, columnar copy registered. The
-/// key invariant every test leans on: use_columnar toggles only HOW shards
+/// key invariant every test leans on: the scan path toggles only HOW shards
 /// are scanned, never what comes back.
 class ColumnarMppTest : public ::testing::Test {
  protected:
@@ -73,18 +73,16 @@ class ColumnarMppTest : public ::testing::Test {
 
   /// Runs the same aggregate through the columnar path and the forced row
   /// path and asserts identical tables; returns the columnar result.
-  DistributedResult RunBoth(const std::function<sql::ExprPtr()>& filter,
-                            std::vector<std::string> group_by,
-                            std::vector<DistributedAgg> aggs) {
+  DistPlanResult RunBoth(const std::function<sql::ExprPtr()>& filter,
+                         std::vector<std::string> group_by,
+                         std::vector<DistributedAgg> aggs) {
     auto columnar =
-        DistributedAggregate(&cluster_, "sales", filter(), group_by, aggs);
-    DistributedOptions row_only;
-    row_only.use_columnar = false;
-    auto rows = DistributedAggregate(&cluster_, "sales", filter(), group_by,
-                                     aggs, row_only);
+        ExecuteDistPlan(&cluster_, AggPlan("sales", filter(), group_by, aggs));
+    auto rows = ExecuteDistPlan(
+        &cluster_, AggPlan("sales", filter(), group_by, aggs, ScanPath::kRow));
     EXPECT_TRUE(columnar.ok()) << columnar.status().ToString();
     EXPECT_TRUE(rows.ok()) << rows.status().ToString();
-    EXPECT_EQ(rows->columnar_shards, 0u);
+    EXPECT_EQ(rows->stats.columnar_shards, 0u);
     ExpectSameTable(columnar->table, rows->table);
     return std::move(*columnar);
   }
@@ -99,18 +97,18 @@ TEST_F(ColumnarMppTest, GlobalKernelAggregatesMatchRowPath) {
                       {AggFunc::kMin, "amount", "lo"},
                       {AggFunc::kMax, "amount", "hi"}});
   // All four shards fresh -> all served columnar, via the pure-kernel path.
-  EXPECT_EQ(res.columnar_shards, 4u);
-  EXPECT_GT(res.scan_stats.chunks_total, 0u);
+  EXPECT_EQ(res.stats.columnar_shards, 4u);
+  EXPECT_GT(res.stats.scan_stats.chunks_total, 0u);
   // MIN/MAX come from zone maps; SUM decodes. COUNT(amount) is not asked,
   // so at least SUM's rows are decoded.
-  EXPECT_GT(res.scan_stats.rows_decoded, 0u);
+  EXPECT_GT(res.stats.scan_stats.rows_decoded, 0u);
 }
 
 TEST_F(ColumnarMppTest, IntRangeFiltersMatchRowPath) {
   // One-sided compares and an And-of-ranges (Between after intersection).
   auto gt = RunBoth([] { return Expr::Gt("amount", Value(50)); }, {},
                     {{AggFunc::kCount, "", "n"}, {AggFunc::kSum, "amount", "s"}});
-  EXPECT_EQ(gt.columnar_shards, 4u);
+  EXPECT_EQ(gt.stats.columnar_shards, 4u);
   RunBoth([] { return Expr::Ge("amount", Value(97)); }, {},
           {{AggFunc::kCount, "", "n"}});
   RunBoth([] { return Expr::Lt("k", Value(37)); }, {},
@@ -120,7 +118,7 @@ TEST_F(ColumnarMppTest, IntRangeFiltersMatchRowPath) {
         return Expr::And(Expr::Ge("k", Value(100)), Expr::Le("k", Value(299)));
       },
       {}, {{AggFunc::kCount, "", "n"}, {AggFunc::kMin, "amount", "lo"}});
-  EXPECT_EQ(between.columnar_shards, 4u);
+  EXPECT_EQ(between.stats.columnar_shards, 4u);
   ASSERT_EQ(between.table.num_rows(), 1u);
   EXPECT_EQ(between.table.rows()[0][0].AsInt(), 200);
 }
@@ -128,14 +126,14 @@ TEST_F(ColumnarMppTest, IntRangeFiltersMatchRowPath) {
 TEST_F(ColumnarMppTest, FilterEliminatingEverythingMatchesRowPath) {
   auto res = RunBoth([] { return Expr::Gt("amount", Value(100000)); }, {},
                      {{AggFunc::kCount, "", "n"}, {AggFunc::kSum, "amount", "s"}});
-  EXPECT_EQ(res.columnar_shards, 4u);
+  EXPECT_EQ(res.stats.columnar_shards, 4u);
   ASSERT_EQ(res.table.num_rows(), 1u);
   EXPECT_EQ(res.table.rows()[0][0].AsInt(), 0);
   EXPECT_TRUE(res.table.rows()[0][1].is_null());
   // amount's zone tops out far below the bound: every chunk pruned, none
   // scanned, nothing decoded.
-  EXPECT_EQ(res.scan_stats.chunks_scanned, 0u);
-  EXPECT_EQ(res.scan_stats.rows_decoded, 0u);
+  EXPECT_EQ(res.stats.scan_stats.chunks_scanned, 0u);
+  EXPECT_EQ(res.stats.scan_stats.rows_decoded, 0u);
 }
 
 TEST_F(ColumnarMppTest, GroupByUsesGroupedKernelAndMatchesRowPath) {
@@ -148,7 +146,7 @@ TEST_F(ColumnarMppTest, GroupByUsesGroupedKernelAndMatchesRowPath) {
                       {AggFunc::kAvg, "amount", "av"}});
   // GROUP BY runs the vectorized grouped hash kernel on every fresh shard:
   // no row materialization, no fallback counters.
-  EXPECT_EQ(res.columnar_shards, 4u);
+  EXPECT_EQ(res.stats.columnar_shards, 4u);
   EXPECT_EQ(res.table.num_rows(), 5u);
   EXPECT_EQ(cluster_.metrics().Get("columnar.fallback_agg"), fallback_agg0);
   EXPECT_EQ(cluster_.metrics().Get("columnar.fallback_groupby_type"),
@@ -156,14 +154,14 @@ TEST_F(ColumnarMppTest, GroupByUsesGroupedKernelAndMatchesRowPath) {
   // The kernel decodes only the referenced columns (region, amount): one
   // chunk each on every shard — 2 column-chunks x 4 shards. A materializing
   // path would have decoded all three columns.
-  EXPECT_EQ(res.scan_stats.chunks_scanned, 8u);
+  EXPECT_EQ(res.stats.scan_stats.chunks_scanned, 8u);
 }
 
 TEST_F(ColumnarMppTest, FilteredGroupByMatchesRowPath) {
   auto res = RunBoth([] { return Expr::Gt("amount", Value(30)); }, {"region"},
                      {{AggFunc::kAvg, "amount", "av"},
                       {AggFunc::kCount, "", "n"}});
-  EXPECT_EQ(res.columnar_shards, 4u);
+  EXPECT_EQ(res.stats.columnar_shards, 4u);
 }
 
 TEST_F(ColumnarMppTest, UnsupportedFilterFallsBackToRowStore) {
@@ -174,7 +172,7 @@ TEST_F(ColumnarMppTest, UnsupportedFilterFallsBackToRowStore) {
       },
       {}, {{AggFunc::kCount, "", "n"}});
   // Or is not a recognizable range -> whole query takes the row path.
-  EXPECT_EQ(res.columnar_shards, 0u);
+  EXPECT_EQ(res.stats.columnar_shards, 0u);
   EXPECT_GE(cluster_.metrics().Get("columnar.fallback_filter"), 1);
 }
 
@@ -188,7 +186,7 @@ TEST_F(ColumnarMppTest, WritesAreServedColumnarWithoutRefresh) {
 
   auto res = RunBoth([] { return sql::ExprPtr{}; }, {},
                      {{AggFunc::kCount, "", "n"}, {AggFunc::kSum, "amount", "s"}});
-  EXPECT_EQ(res.columnar_shards, 4u);
+  EXPECT_EQ(res.stats.columnar_shards, 4u);
   ASSERT_EQ(res.table.num_rows(), 1u);
   EXPECT_EQ(res.table.rows()[0][0].AsInt(), 399);
 
@@ -200,17 +198,17 @@ TEST_F(ColumnarMppTest, WritesAreServedColumnarWithoutRefresh) {
   ASSERT_TRUE(t2.Commit().ok());
   auto fresh = RunBoth([] { return sql::ExprPtr{}; }, {},
                        {{AggFunc::kCount, "", "n"}});
-  EXPECT_EQ(fresh.columnar_shards, 4u);
+  EXPECT_EQ(fresh.stats.columnar_shards, 4u);
   EXPECT_EQ(fresh.table.rows()[0][0].AsInt(), 400);
-  EXPECT_GE(fresh.scan_stats.delta_rows, 1u);
+  EXPECT_GE(fresh.stats.scan_stats.delta_rows, 1u);
 }
 
 TEST_F(ColumnarMppTest, DropColumnarRestoresPureRowPath) {
   cluster_.DropColumnar("sales");
-  auto res = DistributedAggregate(&cluster_, "sales", nullptr, {},
-                                  {{AggFunc::kCount, "", "n"}});
+  auto res = ExecuteDistPlan(&cluster_, AggPlan("sales", nullptr, {},
+                                                {{AggFunc::kCount, "", "n"}}));
   ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res->columnar_shards, 0u);
+  EXPECT_EQ(res->stats.columnar_shards, 0u);
   EXPECT_EQ(res->table.rows()[0][0].AsInt(), 400);
 }
 
@@ -218,44 +216,43 @@ TEST_F(ColumnarMppTest, MorselParallelAndPoolScatterAllAgree) {
   auto filter = [] { return Expr::Gt("amount", Value(20)); };
   std::vector<DistributedAgg> aggs = {{AggFunc::kCount, "", "n"},
                                       {AggFunc::kSum, "amount", "s"}};
-  DistributedOptions inline_morsel;
+  DistExecOptions inline_morsel;
   inline_morsel.parallel = false;
   inline_morsel.columnar_morsel_parallel = true;
   cluster_.ResetSimTime();
-  auto a = DistributedAggregate(&cluster_, "sales", filter(), {}, aggs,
-                                inline_morsel);
+  auto a = ExecuteDistPlan(&cluster_, AggPlan("sales", filter(), {}, aggs),
+                           inline_morsel);
   cluster_.ResetSimTime();
-  auto b = DistributedAggregate(&cluster_, "sales", filter(), {}, aggs);
-  DistributedOptions row_only;
-  row_only.use_columnar = false;
-  auto c = DistributedAggregate(&cluster_, "sales", filter(), {}, aggs,
-                                row_only);
+  auto b = ExecuteDistPlan(&cluster_, AggPlan("sales", filter(), {}, aggs));
+  auto c = ExecuteDistPlan(
+      &cluster_, AggPlan("sales", filter(), {}, aggs, ScanPath::kRow));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_TRUE(c.ok());
-  EXPECT_EQ(a->columnar_shards, 4u);
-  EXPECT_EQ(b->columnar_shards, 4u);
+  EXPECT_EQ(a->stats.columnar_shards, 4u);
+  EXPECT_EQ(b->stats.columnar_shards, 4u);
   ExpectSameTable(a->table, b->table);
   ExpectSameTable(a->table, c->table);
   // Chunk-order merge: morsel parallelism changes neither results nor the
   // scan counters nor the simulated latency.
-  EXPECT_EQ(a->scan_stats.chunks_scanned, b->scan_stats.chunks_scanned);
-  EXPECT_EQ(a->scan_stats.rows_decoded, b->scan_stats.rows_decoded);
-  EXPECT_EQ(a->sim_latency_us, b->sim_latency_us);
+  EXPECT_EQ(a->stats.scan_stats.chunks_scanned,
+            b->stats.scan_stats.chunks_scanned);
+  EXPECT_EQ(a->stats.scan_stats.rows_decoded, b->stats.scan_stats.rows_decoded);
+  EXPECT_EQ(a->stats.sim_latency_us, b->stats.sim_latency_us);
 }
 
 TEST_F(ColumnarMppTest, ScanMetricsPublished) {
   cluster_.metrics().Reset();
-  auto res = DistributedAggregate(&cluster_, "sales",
-                                  Expr::Gt("amount", Value(50)), {},
-                                  {{AggFunc::kSum, "amount", "s"}});
+  auto res = ExecuteDistPlan(&cluster_,
+                             AggPlan("sales", Expr::Gt("amount", Value(50)), {},
+                                     {{AggFunc::kSum, "amount", "s"}}));
   ASSERT_TRUE(res.ok());
   auto& m = cluster_.metrics();
   EXPECT_EQ(m.Get("columnar.scans"), 4);
   EXPECT_EQ(m.Get("columnar.chunks_scanned"),
-            static_cast<int64_t>(res->scan_stats.chunks_scanned));
+            static_cast<int64_t>(res->stats.scan_stats.chunks_scanned));
   EXPECT_EQ(m.Get("columnar.rows_filtered"),
-            static_cast<int64_t>(res->scan_stats.rows_matched));
+            static_cast<int64_t>(res->stats.scan_stats.rows_matched));
 }
 
 TEST_F(ColumnarMppTest, StringEqualityFilterServedFromDictionary) {
@@ -273,20 +270,18 @@ TEST_F(ColumnarMppTest, StringEqualityFilterServedFromDictionary) {
   }
   ASSERT_TRUE(cluster_.RegisterColumnar("events").ok());
 
-  auto run = [&](bool columnar) {
-    DistributedOptions o;
-    o.use_columnar = columnar;
-    return DistributedAggregate(&cluster_, "events",
-                                Expr::Eq("tag", Value("beta")), {},
-                                {{AggFunc::kCount, "", "n"},
-                                 {AggFunc::kSum, "v", "s"}},
-                                o);
+  auto run = [&](ScanPath path) {
+    return ExecuteDistPlan(&cluster_,
+                           AggPlan("events", Expr::Eq("tag", Value("beta")), {},
+                                   {{AggFunc::kCount, "", "n"},
+                                    {AggFunc::kSum, "v", "s"}},
+                                   path));
   };
-  auto col = run(true);
-  auto row = run(false);
+  auto col = run(ScanPath::kColumnar);
+  auto row = run(ScanPath::kRow);
   ASSERT_TRUE(col.ok()) << col.status().ToString();
   ASSERT_TRUE(row.ok());
-  EXPECT_EQ(col->columnar_shards, 4u);
+  EXPECT_EQ(col->stats.columnar_shards, 4u);
   ExpectSameTable(col->table, row->table);
 }
 
@@ -294,11 +289,11 @@ TEST_F(ColumnarMppTest, EmptyTableRegisteredColumnar) {
   Schema schema({Column{"k", TypeId::kInt64, ""}, Column{"v", TypeId::kInt64, ""}});
   ASSERT_TRUE(cluster_.CreateTable("void", schema).ok());
   ASSERT_TRUE(cluster_.RegisterColumnar("void").ok());
-  auto res = DistributedAggregate(&cluster_, "void", nullptr, {},
-                                  {{AggFunc::kCount, "", "n"},
-                                   {AggFunc::kSum, "v", "s"}});
+  auto res = ExecuteDistPlan(&cluster_, AggPlan("void", nullptr, {},
+                                                {{AggFunc::kCount, "", "n"},
+                                                 {AggFunc::kSum, "v", "s"}}));
   ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_EQ(res->columnar_shards, 4u);
+  EXPECT_EQ(res->stats.columnar_shards, 4u);
   ASSERT_EQ(res->table.num_rows(), 1u);
   EXPECT_EQ(res->table.rows()[0][0].AsInt(), 0);
   EXPECT_TRUE(res->table.rows()[0][1].is_null());
@@ -322,14 +317,14 @@ TEST(ColumnarMppFailoverTest, PromotedBackupServesColumnarFromDeltaTail) {
   }
   ASSERT_TRUE(cluster.RegisterColumnar("t").ok());
   ASSERT_TRUE(cluster.FailDn(0).ok());
-  auto res = DistributedAggregate(&cluster, "t", nullptr, {},
-                                  {{AggFunc::kCount, "", "n"},
-                                   {AggFunc::kSum, "v", "s"}});
+  auto res = ExecuteDistPlan(&cluster, AggPlan("t", nullptr, {},
+                                               {{AggFunc::kCount, "", "n"},
+                                                {AggFunc::kSum, "v", "s"}}));
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_EQ(res->table.rows()[0][0].AsInt(), 120);
   EXPECT_EQ(res->table.rows()[0][1].AsInt(), total);
   // 3 serving nodes, every one columnar — the promoted backup included.
-  EXPECT_EQ(res->columnar_shards, 3u);
+  EXPECT_EQ(res->stats.columnar_shards, 3u);
 }
 
 // The tentpole's latency story: a selective range over clustered keys prunes
@@ -352,33 +347,32 @@ TEST(ColumnarMppPruningTest, SelectiveRangeIsCheaperThanFullScan) {
   ASSERT_TRUE(cluster.RegisterColumnar("big").ok());
 
   cluster.ResetSimTime();
-  auto full = DistributedAggregate(&cluster, "big", nullptr, {},
-                                   {{AggFunc::kSum, "v", "s"}});
+  auto full = ExecuteDistPlan(&cluster, AggPlan("big", nullptr, {},
+                                                {{AggFunc::kSum, "v", "s"}}));
   cluster.ResetSimTime();
-  auto selective = DistributedAggregate(
-      &cluster, "big",
-      Expr::And(Expr::Ge("k", Value(0)), Expr::Le("k", Value(99))), {},
-      {{AggFunc::kSum, "v", "s"}});
+  auto selective = ExecuteDistPlan(
+      &cluster, AggPlan("big", Expr::And(Expr::Ge("k", Value(0)),
+                                         Expr::Le("k", Value(99))),
+                        {}, {{AggFunc::kSum, "v", "s"}}));
   ASSERT_TRUE(full.ok());
   ASSERT_TRUE(selective.ok());
-  EXPECT_EQ(full->columnar_shards, 2u);
-  EXPECT_EQ(selective->columnar_shards, 2u);
+  EXPECT_EQ(full->stats.columnar_shards, 2u);
+  EXPECT_EQ(selective->stats.columnar_shards, 2u);
 
   // Keys are clustered, so [0, 99] lives in each shard's first chunk: the
   // rest are pruned by zone maps and never charged.
-  EXPECT_GT(selective->scan_stats.chunks_pruned, 0u);
-  EXPECT_LT(selective->scan_stats.chunks_scanned,
-            full->scan_stats.chunks_scanned);
-  EXPECT_LT(selective->scan_stats.rows_decoded, full->scan_stats.rows_decoded);
-  EXPECT_LT(selective->sim_latency_us, full->sim_latency_us);
+  EXPECT_GT(selective->stats.scan_stats.chunks_pruned, 0u);
+  EXPECT_LT(selective->stats.scan_stats.chunks_scanned,
+            full->stats.scan_stats.chunks_scanned);
+  EXPECT_LT(selective->stats.scan_stats.rows_decoded,
+            full->stats.scan_stats.rows_decoded);
+  EXPECT_LT(selective->stats.sim_latency_us, full->stats.sim_latency_us);
 
   // Cross-check the answer against the row path.
-  DistributedOptions row_only;
-  row_only.use_columnar = false;
-  auto reference = DistributedAggregate(
-      &cluster, "big",
-      Expr::And(Expr::Ge("k", Value(0)), Expr::Le("k", Value(99))), {},
-      {{AggFunc::kSum, "v", "s"}}, row_only);
+  auto reference = ExecuteDistPlan(
+      &cluster, AggPlan("big", Expr::And(Expr::Ge("k", Value(0)),
+                                         Expr::Le("k", Value(99))),
+                        {}, {{AggFunc::kSum, "v", "s"}}, ScanPath::kRow));
   ASSERT_TRUE(reference.ok());
   EXPECT_TRUE(selective->table.rows()[0][0].Equals(reference->table.rows()[0][0]));
 }

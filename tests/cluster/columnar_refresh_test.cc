@@ -6,8 +6,8 @@
 /// refresh; the merge only moves work off the scan path.
 #include <gtest/gtest.h>
 
-#include "cluster/mpp_query.h"
 #include "common/rng.h"
+#include "dist_plans.h"
 
 namespace ofi::cluster {
 namespace {
@@ -39,11 +39,12 @@ class ColumnarRefreshTest : public ::testing::Test {
   }
 
   size_t ColumnarShardsUsed() {
-    auto res = DistributedAggregate(&cluster_, "sales", nullptr, {},
-                                    {{AggFunc::kCount, "", "n"},
-                                     {AggFunc::kSum, "amount", "s"}});
+    auto res = ExecuteDistPlan(&cluster_,
+                               AggPlan("sales", nullptr, {},
+                                       {{AggFunc::kCount, "", "n"},
+                                        {AggFunc::kSum, "amount", "s"}}));
     EXPECT_TRUE(res.ok()) << res.status().ToString();
-    return res->columnar_shards;
+    return res->stats.columnar_shards;
   }
 
   Cluster cluster_;
@@ -62,11 +63,11 @@ TEST_F(ColumnarRefreshTest, RefreshMergesOnlyTheMutatedShard) {
   // STAYS columnar — the new row is served from the tail immediately.
   Insert({Value(int64_t{100000}), Value(int64_t{42})});
   ASSERT_EQ(ColumnarShardsUsed(), 4u);
-  auto before = DistributedAggregate(&cluster_, "sales", nullptr, {},
-                                     {{AggFunc::kCount, "", "n"}});
+  auto before = ExecuteDistPlan(
+      &cluster_, AggPlan("sales", nullptr, {}, {{AggFunc::kCount, "", "n"}}));
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before->table.rows()[0][0].AsInt(), 201);
-  EXPECT_EQ(before->scan_stats.delta_rows, 1u);
+  EXPECT_EQ(before->stats.scan_stats.delta_rows, 1u);
 
   // Force-merge folds the record into sealed chunks; only the mutated
   // shard does work.
@@ -76,12 +77,12 @@ TEST_F(ColumnarRefreshTest, RefreshMergesOnlyTheMutatedShard) {
   EXPECT_EQ(cluster_.metrics().Get("columnar.refreshes"), 1);
 
   // Same answer, now entirely from sealed chunks.
-  auto res = DistributedAggregate(&cluster_, "sales", nullptr, {},
-                                  {{AggFunc::kCount, "", "n"}});
+  auto res = ExecuteDistPlan(&cluster_, AggPlan("sales", nullptr, {},
+                                                {{AggFunc::kCount, "", "n"}}));
   ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res->columnar_shards, 4u);
+  EXPECT_EQ(res->stats.columnar_shards, 4u);
   EXPECT_EQ(res->table.rows()[0][0].AsInt(), 201);
-  EXPECT_EQ(res->scan_stats.delta_rows, 0u);
+  EXPECT_EQ(res->stats.scan_stats.delta_rows, 0u);
 
   // Refreshing again merges nothing.
   auto again = cluster_.RefreshColumnar("sales");
@@ -96,18 +97,18 @@ TEST_F(ColumnarRefreshTest, DeleteIsVisibleImmediatelyAndMergeDropsTheRow) {
   ASSERT_TRUE(t.Delete("sales", Value(7)).ok());
   ASSERT_TRUE(t.Commit().ok());
   ASSERT_EQ(ColumnarShardsUsed(), 4u);
-  auto before = DistributedAggregate(&cluster_, "sales", nullptr, {},
-                                     {{AggFunc::kCount, "", "n"}});
+  auto before = ExecuteDistPlan(
+      &cluster_, AggPlan("sales", nullptr, {}, {{AggFunc::kCount, "", "n"}}));
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before->table.rows()[0][0].AsInt(), 199);
 
   auto n = cluster_.RefreshColumnar("sales");
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 1u);
-  auto res = DistributedAggregate(&cluster_, "sales", nullptr, {},
-                                  {{AggFunc::kCount, "", "n"}});
+  auto res = ExecuteDistPlan(&cluster_, AggPlan("sales", nullptr, {},
+                                                {{AggFunc::kCount, "", "n"}}));
   ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res->columnar_shards, 4u);
+  EXPECT_EQ(res->stats.columnar_shards, 4u);
   EXPECT_EQ(res->table.rows()[0][0].AsInt(), 199);
 }
 
@@ -124,11 +125,12 @@ TEST_F(ColumnarRefreshTest, RefreshUnregisteredTableIsNotFound) {
 TEST_F(ColumnarRefreshTest, MorselParallelWithParallelScatterIsRejected) {
   // Historically this combination silently disabled morsel parallelism;
   // now it is a loud configuration error.
-  DistributedOptions opts;
+  DistExecOptions opts;
   opts.parallel = true;
   opts.columnar_morsel_parallel = true;
-  auto res = DistributedAggregate(&cluster_, "sales", nullptr, {},
-                                  {{AggFunc::kCount, "", "n"}}, opts);
+  auto res = ExecuteDistPlan(&cluster_, AggPlan("sales", nullptr, {},
+                                                {{AggFunc::kCount, "", "n"}}),
+                             opts);
   ASSERT_FALSE(res.ok());
   EXPECT_TRUE(res.status().IsInvalidArgument());
 
@@ -136,12 +138,13 @@ TEST_F(ColumnarRefreshTest, MorselParallelWithParallelScatterIsRejected) {
   // morsel-parallel kernel scan — an unfiltered COUNT(*) answers from
   // metadata and touches no morsels).
   opts.parallel = false;
-  auto ok = DistributedAggregate(&cluster_, "sales",
-                                 sql::Expr::Gt("amount", Value(0)), {},
-                                 {{AggFunc::kCount, "", "n"}}, opts);
+  auto ok = ExecuteDistPlan(&cluster_,
+                            AggPlan("sales", sql::Expr::Gt("amount", Value(0)),
+                                    {}, {{AggFunc::kCount, "", "n"}}),
+                            opts);
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok->table.rows()[0][0].AsInt(), 200);
-  EXPECT_GT(ok->scan_stats.morsels, 0u);
+  EXPECT_GT(ok->stats.scan_stats.morsels, 0u);
 }
 
 }  // namespace

@@ -1,0 +1,56 @@
+/// Plan builders for tests that run hand-built distributed plans through
+/// ExecuteDistPlan: the two core shapes — a scatter-gather aggregate and a
+/// two-table equi-join gathered as rows.
+#pragma once
+
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "cluster/distributed_plan.h"
+
+namespace ofi::cluster {
+
+/// `SELECT group_by..., aggs... FROM table [WHERE filter] GROUP BY
+/// group_by`: scan -> fused partial agg -> gather partials -> final agg at
+/// the CN. ScanPath::kColumnar still falls back to the row store per shard
+/// when the table has no columnar copy or the filter is not recognizable.
+inline DistOpPtr AggPlan(std::string table, sql::ExprPtr filter,
+                         std::vector<std::string> group_by,
+                         std::vector<DistributedAgg> aggs,
+                         ScanPath path = ScanPath::kColumnar) {
+  return MakeDistFinalAgg(
+      MakeGather(MakeDistPartialAgg(
+                     MakeDistScan(std::move(table), std::move(filter), path),
+                     group_by, aggs),
+                 /*gather_rows=*/false),
+      group_by, aggs);
+}
+
+/// `SELECT * FROM left JOIN right ON left_key = right_key [AND residual]`
+/// with each side's filter pushed below the exchange. Output schema is
+/// left ++ right, as in the local executor.
+struct JoinQuery {
+  std::string left_table;
+  std::string right_table;
+  std::string left_key;   // column in left_table's schema
+  std::string right_key;  // column in right_table's schema
+  sql::ExprPtr left_filter;
+  sql::ExprPtr right_filter;
+  sql::ExprPtr residual;
+
+  /// Row scans feeding a hash join, gathered as rows. The plan's strategy
+  /// stays kAuto; force one with DistExecOptions::strategy_override.
+  DistOpPtr Plan() const {
+    auto clone = [](const sql::ExprPtr& e) {
+      return e ? e->Clone() : nullptr;
+    };
+    return MakeGather(
+        MakeDistHashJoin(MakeDistScan(left_table, clone(left_filter)),
+                         MakeDistScan(right_table, clone(right_filter)),
+                         left_key, right_key, clone(residual)),
+        /*gather_rows=*/true);
+  }
+};
+
+}  // namespace ofi::cluster

@@ -5,8 +5,8 @@
 /// across NULL keys, dictionary-string keys, multi-column keys, empty
 /// shards, kernel vs forced-materialize vs row fallback, and morsel-
 /// parallel vs serial execution. Also pins every `columnar.fallback_*`
-/// counter to its branch, the opt-in auto-refresh, and the EXPLAIN
-/// surfacing. Runs under the tsan preset via scripts/check.sh.
+/// counter to its branch and the EXPLAIN surfacing. Runs under the tsan
+/// preset via scripts/check.sh.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -267,27 +267,6 @@ TEST_F(DistributedGroupByTest, EveryFallbackReasonHasItsOwnCounter) {
     EXPECT_EQ(info.path, "columnar(grouped-kernel)");
   }
   EXPECT_GE(dist_.last().stats.scan_stats.delta_rows, 1u);
-}
-
-TEST_F(DistributedGroupByTest, AutoRefreshMergesDeltaTailsBeforeTheScan) {
-  CreateAndLoadSales(/*seed=*/43, /*rows=*/100);
-  ASSERT_TRUE(dist_.RegisterColumnar("sales").ok());
-  Exec("INSERT INTO sales VALUES (1000, 7, 'east', 99)");  // one tail record
-
-  dist_.exec_options().auto_refresh_columnar = true;
-  const int64_t refresh0 = Metric("columnar.auto_refreshes");
-  Query("SELECT region, SUM(amount) AS s FROM sales GROUP BY region");
-  // The pre-scan force-merge folded the tail: the scan itself saw no delta.
-  EXPECT_GT(Metric("columnar.auto_refreshes"), refresh0);
-  EXPECT_EQ(dist_.last().stats.columnar_shards, 4u);
-  EXPECT_EQ(dist_.last().stats.scan_stats.delta_rows, 0u);
-  for (const auto& info : dist_.last().stats.per_dn) {
-    EXPECT_EQ(info.path, "columnar(grouped-kernel)");
-  }
-  // Quiescent cluster: the next query merges nothing.
-  const int64_t refresh1 = Metric("columnar.auto_refreshes");
-  Query("SELECT k, COUNT(*) AS n FROM sales GROUP BY k");
-  EXPECT_EQ(Metric("columnar.auto_refreshes"), refresh1);
 }
 
 TEST_F(DistributedGroupByTest, ExplainShowsGroupedKernelAndPerDnForecast) {

@@ -8,8 +8,8 @@
 #include <algorithm>
 #include <map>
 
-#include "cluster/mpp_query.h"
 #include "common/rng.h"
+#include "dist_plans.h"
 #include "sql/executor.h"
 
 namespace ofi::cluster {
@@ -71,7 +71,7 @@ void ExpectSameRows(const Table& got, const Table& want) {
 
 /// Single-node reference: both tables whole in one catalog, same join plan.
 Table ReferenceJoin(const std::vector<Row>& left, const std::vector<Row>& right,
-                    const DistributedJoinSpec& spec) {
+                    const JoinQuery& spec) {
   sql::Catalog catalog;
   catalog.Register(spec.left_table, Table(OrdersSchema(), left));
   catalog.Register(spec.right_table, Table(CustomersSchema(), right));
@@ -124,20 +124,12 @@ class DistributedJoinTest : public ::testing::Test {
     }
   }
 
-  DistributedJoinSpec Spec() {
-    DistributedJoinSpec spec;
-    spec.left_table = "orders";
-    spec.right_table = "customers";
-    spec.left_key = "cust";
-    spec.right_key = "c_id";
-    return spec;
-  }
+  JoinQuery Spec() { return JoinQuery{"orders", "customers", "cust", "c_id"}; }
 
-  void ExpectMatchesReference(const DistributedJoinSpec& spec,
-                              JoinStrategy strategy) {
-    DistributedJoinOptions opts;
-    opts.strategy = strategy;
-    auto result = DistributedJoin(&cluster_, spec, opts);
+  void ExpectMatchesReference(const JoinQuery& spec, JoinStrategy strategy) {
+    DistExecOptions opts;
+    opts.strategy_override = strategy;
+    auto result = ExecuteDistPlan(&cluster_, spec.Plan(), opts);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectSameRows(result->table, ReferenceJoin(orders_, customers_, spec));
   }
@@ -161,24 +153,26 @@ TEST_F(DistributedJoinTest, TinyChannelCapSpillsEveryExchangeBitIdentical) {
   // overflow accounted in spill_bytes and charged in simulated latency.
   LoadRandom(300, 40, /*seed=*/101);
   for (auto strategy : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
-    DistributedJoinOptions plain;
-    plain.strategy = strategy;
-    auto uncapped = DistributedJoin(&cluster_, Spec(), plain);
+    DistExecOptions plain;
+    plain.strategy_override = strategy;
+    auto uncapped = ExecuteDistPlan(&cluster_, Spec().Plan(), plain);
     ASSERT_TRUE(uncapped.ok());
-    EXPECT_EQ(uncapped->spill_bytes, 0u);
+    EXPECT_EQ(uncapped->stats.spill_bytes, 0u);
 
-    DistributedJoinOptions capped = plain;
+    DistExecOptions capped = plain;
     capped.max_channel_bytes = 16;
-    auto spilled = DistributedJoin(&cluster_, Spec(), capped);
+    auto spilled = ExecuteDistPlan(&cluster_, Spec().Plan(), capped);
     ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-    EXPECT_GT(spilled->spill_bytes, 0u);
+    EXPECT_GT(spilled->stats.spill_bytes, 0u);
     // Lifetime traffic accounting is cap-independent.
-    EXPECT_EQ(spilled->shuffle_bytes, uncapped->shuffle_bytes);
-    EXPECT_EQ(spilled->broadcast_bytes, uncapped->broadcast_bytes);
-    EXPECT_EQ(spilled->exchange_batches, uncapped->exchange_batches);
+    EXPECT_EQ(spilled->stats.shuffle_bytes, uncapped->stats.shuffle_bytes);
+    EXPECT_EQ(spilled->stats.broadcast_bytes,
+              uncapped->stats.broadcast_bytes);
+    EXPECT_EQ(spilled->stats.exchange_batches,
+              uncapped->stats.exchange_batches);
     // The spilled run is strictly slower in simulated time — disk I/O is
     // charged, not free.
-    EXPECT_GT(spilled->sim_latency_us, uncapped->sim_latency_us);
+    EXPECT_GT(spilled->stats.sim_latency_us, uncapped->stats.sim_latency_us);
 
     // Row-for-row identical gather order, then the reference check.
     ASSERT_EQ(spilled->table.num_rows(), uncapped->table.num_rows());
@@ -218,12 +212,8 @@ TEST_F(DistributedJoinTest, SeveralSeedsUnderAutoStrategy) {
       ASSERT_TRUE(t.Commit().ok());
       orders.push_back(row);
     }
-    DistributedJoinSpec spec;
-    spec.left_table = "orders";
-    spec.right_table = "customers";
-    spec.left_key = "cust";
-    spec.right_key = "c_id";
-    auto result = DistributedJoin(&cluster, spec);
+    JoinQuery spec{"orders", "customers", "cust", "c_id"};
+    auto result = ExecuteDistPlan(&cluster, spec.Plan());
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectSameRows(result->table, ReferenceJoin(orders, customers, spec));
   }
@@ -231,7 +221,7 @@ TEST_F(DistributedJoinTest, SeveralSeedsUnderAutoStrategy) {
 
 TEST_F(DistributedJoinTest, FiltersPushedBelowExchangeAndResidualApplied) {
   LoadRandom(200, 30, /*seed=*/55);
-  DistributedJoinSpec spec = Spec();
+  JoinQuery spec = Spec();
   spec.left_filter = Expr::Gt("amount", Value(300));
   spec.right_filter = Expr::Lt("segment", Value(3));
   spec.residual = Expr::Gt("amount", Value(350));
@@ -246,9 +236,9 @@ TEST_F(DistributedJoinTest, NullKeysNeverMatch) {
   InsertOrder({Value(int64_t{11}), Value(int64_t{1}), Value(int64_t{6})});
   InsertOrder({Value(int64_t{12}), Value::Null(), Value(int64_t{7})});
   for (auto s : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
-    DistributedJoinOptions opts;
-    opts.strategy = s;
-    auto result = DistributedJoin(&cluster_, Spec(), opts);
+    DistExecOptions opts;
+    opts.strategy_override = s;
+    auto result = ExecuteDistPlan(&cluster_, Spec().Plan(), opts);
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->table.num_rows(), 1u);
     EXPECT_EQ(result->table.rows()[0][0].AsInt(), 11);
@@ -266,9 +256,9 @@ TEST_F(DistributedJoinTest, DuplicateKeysProduceFullCrossProductPerKey) {
     InsertOrder({Value(o), Value(int64_t{7}), Value(o * 10)});
   }
   for (auto s : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
-    DistributedJoinOptions opts;
-    opts.strategy = s;
-    auto result = DistributedJoin(&cluster_, Spec(), opts);
+    DistExecOptions opts;
+    opts.strategy_override = s;
+    auto result = ExecuteDistPlan(&cluster_, Spec().Plan(), opts);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->table.num_rows(), 3u);
     ExpectSameRows(result->table, ReferenceJoin(orders_, customers_, Spec()));
@@ -282,11 +272,7 @@ TEST_F(DistributedJoinTest, SelfJoinWithDuplicatesOnBothSides) {
   for (int64_t o = 0; o < 60; ++o) {
     InsertOrder({Value(o), Value(rng.Uniform(0, 9)), Value(rng.Uniform(1, 50))});
   }
-  DistributedJoinSpec spec;
-  spec.left_table = "orders";
-  spec.right_table = "orders";
-  spec.left_key = "cust";
-  spec.right_key = "cust";
+  JoinQuery spec{"orders", "orders", "cust", "cust"};
   sql::Catalog catalog;
   catalog.Register("orders", Table(OrdersSchema(), orders_));
   sql::Executor exec(&catalog);
@@ -295,9 +281,9 @@ TEST_F(DistributedJoinTest, SelfJoinWithDuplicatesOnBothSides) {
                                           Expr::EqCols("cust", "cust")))
                    .ValueOrDie();
   for (auto s : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
-    DistributedJoinOptions opts;
-    opts.strategy = s;
-    auto result = DistributedJoin(&cluster_, spec, opts);
+    DistExecOptions opts;
+    opts.strategy_override = s;
+    auto result = ExecuteDistPlan(&cluster_, spec.Plan(), opts);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectSameRows(result->table, want);
   }
@@ -306,9 +292,9 @@ TEST_F(DistributedJoinTest, SelfJoinWithDuplicatesOnBothSides) {
 TEST_F(DistributedJoinTest, EmptyTablesAndEmptyShards) {
   // Both sides empty.
   for (auto s : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
-    DistributedJoinOptions opts;
-    opts.strategy = s;
-    auto result = DistributedJoin(&cluster_, Spec(), opts);
+    DistExecOptions opts;
+    opts.strategy_override = s;
+    auto result = ExecuteDistPlan(&cluster_, Spec().Plan(), opts);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result->table.num_rows(), 0u);
     EXPECT_EQ(result->table.schema().num_columns(), 5u);
@@ -329,9 +315,9 @@ TEST_F(DistributedJoinTest, EmptyTablesAndEmptyShards) {
     }
   }
   for (auto s : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
-    DistributedJoinOptions opts;
-    opts.strategy = s;
-    auto result = DistributedJoin(&cluster_, Spec(), opts);
+    DistExecOptions opts;
+    opts.strategy_override = s;
+    auto result = ExecuteDistPlan(&cluster_, Spec().Plan(), opts);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->table.num_rows(), 4u);
     ExpectSameRows(result->table, ReferenceJoin(orders_, customers_, Spec()));
@@ -340,18 +326,18 @@ TEST_F(DistributedJoinTest, EmptyTablesAndEmptyShards) {
 
 TEST_F(DistributedJoinTest, SerialAndParallelExecutionBitIdentical) {
   LoadRandom(150, 20, /*seed=*/31);
-  DistributedJoinOptions par, ser;
+  DistExecOptions par, ser;
   ser.parallel = false;
   cluster_.ResetSimTime();
-  auto a = DistributedJoin(&cluster_, Spec(), par);
+  auto a = ExecuteDistPlan(&cluster_, Spec().Plan(), par);
   cluster_.ResetSimTime();
-  auto b = DistributedJoin(&cluster_, Spec(), ser);
+  auto b = ExecuteDistPlan(&cluster_, Spec().Plan(), ser);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->strategy, b->strategy);
-  EXPECT_EQ(a->shuffle_bytes, b->shuffle_bytes);
-  EXPECT_EQ(a->broadcast_bytes, b->broadcast_bytes);
-  EXPECT_EQ(a->sim_latency_us, b->sim_latency_us);
+  EXPECT_EQ(a->stats.strategy, b->stats.strategy);
+  EXPECT_EQ(a->stats.shuffle_bytes, b->stats.shuffle_bytes);
+  EXPECT_EQ(a->stats.broadcast_bytes, b->stats.broadcast_bytes);
+  EXPECT_EQ(a->stats.sim_latency_us, b->stats.sim_latency_us);
   // NOT canonicalized: the gather order itself must be deterministic.
   ASSERT_EQ(a->table.num_rows(), b->table.num_rows());
   for (size_t i = 0; i < a->table.num_rows(); ++i) {
@@ -363,12 +349,12 @@ TEST_F(DistributedJoinTest, SerialAndParallelExecutionBitIdentical) {
 
 TEST_F(DistributedJoinTest, AutoPrefersBroadcastForSmallBuildSide) {
   LoadRandom(400, 8, /*seed=*/77, /*null_fraction=*/0.0);
-  auto result = DistributedJoin(&cluster_, Spec());
+  auto result = ExecuteDistPlan(&cluster_, Spec().Plan());
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->strategy, JoinStrategy::kBroadcast);
-  EXPECT_FALSE(result->broadcast_left);  // customers (right) is tiny
-  EXPECT_GT(result->broadcast_bytes, 0u);
-  EXPECT_EQ(result->shuffle_bytes, 0u);
+  EXPECT_EQ(result->stats.strategy, JoinStrategy::kBroadcast);
+  EXPECT_FALSE(result->stats.broadcast_left);  // customers (right) is tiny
+  EXPECT_GT(result->stats.broadcast_bytes, 0u);
+  EXPECT_EQ(result->stats.shuffle_bytes, 0u);
 }
 
 TEST_F(DistributedJoinTest, AutoPrefersRepartitionWhenBothSidesLarge) {
@@ -379,17 +365,17 @@ TEST_F(DistributedJoinTest, AutoPrefersRepartitionWhenBothSidesLarge) {
   for (int64_t o = 0; o < 300; ++o) {
     InsertOrder({Value(o), Value(rng.Uniform(0, 299)), Value(o)});
   }
-  auto result = DistributedJoin(&cluster_, Spec());
+  auto result = ExecuteDistPlan(&cluster_, Spec().Plan());
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->strategy, JoinStrategy::kRepartition);
-  EXPECT_GT(result->shuffle_bytes, 0u);
-  EXPECT_EQ(result->broadcast_bytes, 0u);
+  EXPECT_EQ(result->stats.strategy, JoinStrategy::kRepartition);
+  EXPECT_GT(result->stats.shuffle_bytes, 0u);
+  EXPECT_EQ(result->stats.broadcast_bytes, 0u);
   // Repartition must also ship fewer bytes than forcing broadcast here.
-  DistributedJoinOptions bc;
-  bc.strategy = JoinStrategy::kBroadcast;
-  auto forced = DistributedJoin(&cluster_, Spec(), bc);
+  DistExecOptions bc;
+  bc.strategy_override = JoinStrategy::kBroadcast;
+  auto forced = ExecuteDistPlan(&cluster_, Spec().Plan(), bc);
   ASSERT_TRUE(forced.ok());
-  EXPECT_LT(result->shuffle_bytes, forced->broadcast_bytes);
+  EXPECT_LT(result->stats.shuffle_bytes, forced->stats.broadcast_bytes);
   ExpectSameRows(result->table, forced->table);
 }
 
@@ -405,57 +391,55 @@ TEST_F(DistributedJoinTest, OptimizerStatsDriveTheStrategyDecision) {
   optimizer::StatsRegistry registry;
   registry.Put("orders", big);
   registry.Put("customers", big);
-  DistributedJoinOptions opts;
+  DistExecOptions opts;
   opts.stats = &registry;
-  auto result = DistributedJoin(&cluster_, Spec(), opts);
+  auto result = ExecuteDistPlan(&cluster_, Spec().Plan(), opts);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->strategy, JoinStrategy::kRepartition);
+  EXPECT_EQ(result->stats.strategy, JoinStrategy::kRepartition);
   // And without the registry the same data picks broadcast.
-  auto untouched = DistributedJoin(&cluster_, Spec());
+  auto untouched = ExecuteDistPlan(&cluster_, Spec().Plan());
   ASSERT_TRUE(untouched.ok());
-  EXPECT_EQ(untouched->strategy, JoinStrategy::kBroadcast);
+  EXPECT_EQ(untouched->stats.strategy, JoinStrategy::kBroadcast);
   ExpectSameRows(result->table, untouched->table);
 }
 
 TEST_F(DistributedJoinTest, ChannelAccountingAndMetricsAreConsistent) {
   LoadRandom(250, 25, /*seed=*/9);
   cluster_.metrics().Reset();
-  DistributedJoinOptions opts;
-  opts.strategy = JoinStrategy::kRepartition;
-  auto result = DistributedJoin(&cluster_, Spec(), opts);
+  DistExecOptions opts;
+  opts.strategy_override = JoinStrategy::kRepartition;
+  auto result = ExecuteDistPlan(&cluster_, Spec().Plan(), opts);
   ASSERT_TRUE(result.ok());
   // Channel stats (cross-DN part) must sum to shuffle_bytes.
   size_t cross = 0, loop = 0;
-  for (const auto& ch : result->channels) {
+  for (const auto& ch : result->stats.channels) {
     (ch.src == ch.dst ? loop : cross) += ch.bytes;
   }
-  EXPECT_EQ(cross, result->shuffle_bytes);
+  EXPECT_EQ(cross, result->stats.shuffle_bytes);
   EXPECT_GT(loop, 0u);  // loopback traffic exists but is not "moved"
   EXPECT_EQ(cluster_.metrics().Get("exchange.bytes"),
-            static_cast<int64_t>(result->shuffle_bytes));
+            static_cast<int64_t>(result->stats.shuffle_bytes));
   EXPECT_EQ(cluster_.metrics().Get("exchange.batches"),
-            static_cast<int64_t>(result->exchange_batches));
+            static_cast<int64_t>(result->stats.exchange_batches));
   EXPECT_EQ(cluster_.metrics().Get("join.repartition"), 1);
   // Per-pair counters sum back to the total.
   int64_t pair_sum = 0;
   for (const auto& [name, v] : cluster_.metrics().counters()) {
     if (name.rfind("exchange.bytes.d", 0) == 0) pair_sum += v;
   }
-  EXPECT_EQ(pair_sum, static_cast<int64_t>(result->shuffle_bytes));
+  EXPECT_EQ(pair_sum, static_cast<int64_t>(result->stats.shuffle_bytes));
 }
 
 TEST_F(DistributedJoinTest, LatencyModelsAndByteBaselinesBehave) {
   LoadRandom(300, 30, /*seed=*/21);
   cluster_.ResetSimTime();
-  auto result = DistributedJoin(&cluster_, Spec());
+  auto result = ExecuteDistPlan(&cluster_, Spec().Plan());
   ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->sim_latency_us, 0);
-  // The chained model must cost strictly more than max-over-DNs on 4 DNs.
-  EXPECT_GT(result->sim_latency_serial_us, result->sim_latency_us);
+  EXPECT_GT(result->stats.sim_latency_us, 0);
   // Either strategy moves less than shipping both relations to one node.
-  EXPECT_LT(result->shuffle_bytes + result->broadcast_bytes,
-            result->naive_bytes);
-  EXPECT_GT(result->result_bytes, 0u);
+  EXPECT_LT(result->stats.shuffle_bytes + result->stats.broadcast_bytes,
+            result->stats.naive_bytes);
+  EXPECT_GT(result->stats.result_bytes, 0u);
 }
 
 TEST_F(DistributedJoinTest, FailoverServesEveryRowExactlyOnce) {
@@ -480,27 +464,23 @@ TEST_F(DistributedJoinTest, FailoverServesEveryRowExactlyOnce) {
     orders.push_back(row);
   }
   ASSERT_TRUE(cluster.FailDn(2).ok());
-  DistributedJoinSpec spec;
-  spec.left_table = "orders";
-  spec.right_table = "customers";
-  spec.left_key = "cust";
-  spec.right_key = "c_id";
+  JoinQuery spec{"orders", "customers", "cust", "c_id"};
   for (auto s : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
-    DistributedJoinOptions opts;
-    opts.strategy = s;
-    auto result = DistributedJoin(&cluster, spec, opts);
+    DistExecOptions opts;
+    opts.strategy_override = s;
+    auto result = ExecuteDistPlan(&cluster, spec.Plan(), opts);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectSameRows(result->table, ReferenceJoin(orders, customers, spec));
   }
 }
 
 TEST_F(DistributedJoinTest, UnknownTableOrKeyFails) {
-  DistributedJoinSpec spec = Spec();
+  JoinQuery spec = Spec();
   spec.left_table = "nope";
-  EXPECT_FALSE(DistributedJoin(&cluster_, spec).ok());
+  EXPECT_FALSE(ExecuteDistPlan(&cluster_, spec.Plan()).ok());
   spec = Spec();
   spec.right_key = "no_such_col";
-  EXPECT_FALSE(DistributedJoin(&cluster_, spec).ok());
+  EXPECT_FALSE(ExecuteDistPlan(&cluster_, spec.Plan()).ok());
 }
 
 }  // namespace

@@ -1,15 +1,15 @@
-/// Per-channel byte limits on the exchange. The cap now bounds the
-/// in-memory window: an over-cap Send transparently spills to a temp file
-/// (spill path covered in exchange_spill_test.cc); this suite pins the
-/// *limit* semantics — strict mode restores the historical deny with
-/// ResourceExhausted, denial is accounted in denied_bytes / the
-/// exchange.bytes_denied metric, and a capped distributed join either
-/// completes via spill (default) or fails loudly (strict) instead of
-/// silently dropping rows.
+/// Per-channel byte limits on the exchange. The cap bounds the in-memory
+/// window: an over-cap Send transparently spills to a temp file (spill path
+/// covered in exchange_spill_test.cc); this suite pins the *limit*
+/// semantics — an over-cap send with no spill config or an exhausted spill
+/// budget is denied with ResourceExhausted, denial is accounted in
+/// denied_bytes / the exchange.bytes_denied metric, and a capped
+/// distributed join either completes via spill or fails loudly on its
+/// spill budget instead of silently dropping rows.
 #include <gtest/gtest.h>
 
-#include "cluster/mpp_query.h"
 #include "common/rng.h"
+#include "dist_plans.h"
 
 namespace ofi::cluster {
 namespace {
@@ -24,16 +24,12 @@ Row MakeRow(int64_t k, const std::string& pad) {
   return Row{Value(k), Value(pad)};
 }
 
-exchange::ExchangeChannel::SendLimits Strict(size_t cap,
-                                             exchange::ExchangeSpillConfig* c) {
-  c->strict = true;
-  return exchange::ExchangeChannel::SendLimits{cap, c};
-}
-
-TEST(ExchangeLimitTest, StrictChannelDeniesOverLimitSend) {
+TEST(ExchangeLimitTest, ExhaustedSpillBudgetDeniesOverLimitSend) {
+  // A 1-byte spill budget admits no batch, so overflow cannot spill.
+  exchange::SpillBudget budget(1);
+  exchange::ExchangeSpillConfig cfg{"", &budget};
   exchange::ExchangeChannel ch;
-  exchange::ExchangeSpillConfig cfg;
-  auto limits = Strict(64, &cfg);
+  exchange::ExchangeChannel::SendLimits limits{64, &cfg};
   std::string small(10, 'x');
   std::string mid(60, 'y');
   ASSERT_TRUE(ch.Send(small, limits).ok());
@@ -79,14 +75,15 @@ TEST(ExchangeLimitTest, ZeroLimitMeansUnbounded) {
   EXPECT_EQ(ch.queued_bytes(), 100000u);
 }
 
-TEST(ExchangeLimitTest, StrictNetworkSendRowsHonorsTheCap) {
-  // A cap smaller than one encoded batch under strict mode: every SendRows
-  // with data fails, DeniedBytes aggregates across channels, and the failed
-  // operator's rollback leaves no queued payload behind.
-  exchange::ExchangeSpillConfig strict;
-  strict.strict = true;
+TEST(ExchangeLimitTest, ExhaustedSpillBudgetNetworkSendRowsHonorsTheCap) {
+  // A cap smaller than one encoded batch and a spill budget smaller than
+  // one batch: every SendRows with data fails, DeniedBytes aggregates
+  // across channels, and the failed operator's rollback leaves no queued
+  // payload behind.
+  exchange::SpillBudget budget(1);
+  exchange::ExchangeSpillConfig cfg{"", &budget};
   exchange::ExchangeNetwork net(2, /*batch_rows=*/8, /*max_channel_bytes=*/4,
-                                strict);
+                                cfg);
   std::vector<Row> rows;
   for (int64_t i = 0; i < 20; ++i) rows.push_back(MakeRow(i, "padpadpad"));
 
@@ -101,7 +98,7 @@ TEST(ExchangeLimitTest, StrictNetworkSendRowsHonorsTheCap) {
   EXPECT_EQ(roomy.DeniedBytes(), 0u);
 }
 
-TEST(ExchangeLimitTest, CappedJoinSpillsByDefaultAndDeniesUnderStrict) {
+TEST(ExchangeLimitTest, CappedJoinSpillsByDefaultAndDeniesOverSpillBudget) {
   Cluster cluster(4, Protocol::kGtmLite);
   Schema orders({Column{"o_id", TypeId::kInt64, ""},
                  Column{"pad", TypeId::kString, ""}});
@@ -121,19 +118,15 @@ TEST(ExchangeLimitTest, CappedJoinSpillsByDefaultAndDeniesUnderStrict) {
     ASSERT_TRUE(t.Commit().ok());
   }
 
-  DistributedJoinSpec spec;
-  spec.left_table = "orders";
-  spec.right_table = "lookup";
-  spec.left_key = "o_id";
-  spec.right_key = "l_id";
+  JoinQuery spec{"orders", "lookup", "o_id", "l_id"};
 
   // Unbounded run first: the join works, nothing spilled or denied.
-  DistributedJoinOptions opts;
-  opts.strategy = JoinStrategy::kRepartition;
-  auto ok = DistributedJoin(&cluster, spec, opts);
+  DistExecOptions opts;
+  opts.strategy_override = JoinStrategy::kRepartition;
+  auto ok = ExecuteDistPlan(&cluster, spec.Plan(), opts);
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok->table.num_rows(), 8u);
-  EXPECT_EQ(ok->spill_bytes, 0u);
+  EXPECT_EQ(ok->stats.spill_bytes, 0u);
   EXPECT_EQ(cluster.metrics().Get("exchange.bytes_spilled"), 0);
   EXPECT_EQ(cluster.metrics().Get("exchange.bytes_denied"), 0);
 
@@ -141,27 +134,28 @@ TEST(ExchangeLimitTest, CappedJoinSpillsByDefaultAndDeniesUnderStrict) {
   // now spills on every channel and the join completes with the same rows,
   // only slower in simulated time.
   opts.max_channel_bytes = 16;
-  auto capped = DistributedJoin(&cluster, spec, opts);
+  auto capped = ExecuteDistPlan(&cluster, spec.Plan(), opts);
   ASSERT_TRUE(capped.ok());
   EXPECT_EQ(capped->table.num_rows(), 8u);
-  EXPECT_GT(capped->spill_bytes, 0u);
+  EXPECT_GT(capped->stats.spill_bytes, 0u);
   EXPECT_GT(cluster.metrics().Get("exchange.bytes_spilled"), 0);
-  EXPECT_GT(capped->sim_latency_us, ok->sim_latency_us);
+  EXPECT_GT(capped->stats.sim_latency_us, ok->stats.sim_latency_us);
 
-  // Strict mode restores the hard limit: the query fails loudly instead of
-  // silently dropping rows, counted in exchange.bytes_denied.
-  opts.strict_channel_limit = true;
-  auto denied = DistributedJoin(&cluster, spec, opts);
+  // A spill budget below one batch makes the cap a hard limit: the query
+  // fails loudly instead of silently dropping rows, counted in
+  // exchange.bytes_denied.
+  opts.max_spill_bytes = 1;
+  auto denied = ExecuteDistPlan(&cluster, spec.Plan(), opts);
   ASSERT_FALSE(denied.ok());
   EXPECT_EQ(denied.status().code(), StatusCode::kResourceExhausted);
   EXPECT_GT(cluster.metrics().Get("exchange.bytes_denied"), 0);
 
-  // Roomy cap: behaves exactly like unbounded in either mode.
+  // Roomy cap: behaves exactly like unbounded, whatever the spill budget.
   opts.max_channel_bytes = 1 << 20;
-  auto roomy = DistributedJoin(&cluster, spec, opts);
+  auto roomy = ExecuteDistPlan(&cluster, spec.Plan(), opts);
   ASSERT_TRUE(roomy.ok());
   EXPECT_EQ(roomy->table.num_rows(), 8u);
-  EXPECT_EQ(roomy->spill_bytes, 0u);
+  EXPECT_EQ(roomy->stats.spill_bytes, 0u);
 }
 
 }  // namespace

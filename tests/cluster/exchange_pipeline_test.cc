@@ -146,7 +146,7 @@ TEST(ExchangePipelineTest, RollbackWithSpilledSegmentsAndInterleavedPops) {
   fs::create_directories(dir);
   {
     exchange::SpillBudget budget;
-    exchange::ExchangeSpillConfig cfg{dir.string(), /*strict=*/false, &budget};
+    exchange::ExchangeSpillConfig cfg{dir.string(), &budget};
     ExchangeChannel::SendLimits limits{32, &cfg};
     ExchangeChannel ch;
 
@@ -181,7 +181,7 @@ TEST(ExchangePipelineTest, RollbackToEmptyMarkRemovesSpillFile) {
   fs::create_directories(dir);
   {
     exchange::SpillBudget budget;
-    exchange::ExchangeSpillConfig cfg{dir.string(), /*strict=*/false, &budget};
+    exchange::ExchangeSpillConfig cfg{dir.string(), &budget};
     ExchangeChannel::SendLimits limits{16, &cfg};
     ExchangeChannel ch;
     ExchangeChannel::Checkpoint cp = ch.Mark();
@@ -209,7 +209,7 @@ TEST(ExchangePipelineTest, ProducerFailsMidStreamWhileConsumerDrains) {
   const std::vector<Row> rows = MakeRows(160, 7);
   for (int iter = 0; iter < 20; ++iter) {
     exchange::SpillBudget budget;
-    exchange::ExchangeSpillConfig cfg{dir.string(), /*strict=*/false, &budget};
+    exchange::ExchangeSpillConfig cfg{dir.string(), &budget};
     {
       ExchangeNetwork net(2, /*batch_rows=*/8, /*max_channel_bytes=*/256, cfg);
       std::thread consumer([&] {
@@ -409,7 +409,7 @@ TEST(ExchangePipelineTest, PipelinedReplayChargesModeledSpill) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   exchange::SpillBudget budget;
-  exchange::ExchangeSpillConfig cfg{dir.string(), /*strict=*/false, &budget};
+  exchange::ExchangeSpillConfig cfg{dir.string(), &budget};
   ExchangeNetwork capped(2, /*batch_rows=*/8, /*max_channel_bytes=*/128, cfg);
   auto logs = SkewedTraffic(&capped, /*heavy=*/400);
 

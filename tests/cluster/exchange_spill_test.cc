@@ -7,12 +7,13 @@
 /// focus list), which also catches leaked FILE* streams.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <thread>
 
-#include "cluster/mpp_query.h"
 #include "common/rng.h"
+#include "dist_plans.h"
 
 namespace ofi::cluster {
 namespace {
@@ -58,7 +59,7 @@ class ExchangeSpillTest : public ::testing::Test {
 
 TEST_F(ExchangeSpillTest, ChannelSpillPreservesSendOrder) {
   exchange::SpillBudget budget;
-  exchange::ExchangeSpillConfig cfg{dir_.string(), /*strict=*/false, &budget};
+  exchange::ExchangeSpillConfig cfg{dir_.string(), &budget};
   exchange::ExchangeChannel::SendLimits limits{32, &cfg};
   exchange::ExchangeChannel ch;
 
@@ -103,7 +104,7 @@ TEST_F(ExchangeSpillTest, ChannelSpillPreservesSendOrder) {
 
 TEST_F(ExchangeSpillTest, DiscardDeletesSpillAndRollsBackAccounting) {
   exchange::SpillBudget budget;
-  exchange::ExchangeSpillConfig cfg{dir_.string(), false, &budget};
+  exchange::ExchangeSpillConfig cfg{dir_.string(), &budget};
   exchange::ExchangeChannel::SendLimits limits{16, &cfg};
   {
     exchange::ExchangeChannel ch;
@@ -133,7 +134,7 @@ TEST_F(ExchangeSpillTest, DiscardDeletesSpillAndRollsBackAccounting) {
 
 TEST_F(ExchangeSpillTest, SpillBudgetExhaustionDenies) {
   exchange::SpillBudget budget(/*max=*/50);
-  exchange::ExchangeSpillConfig cfg{dir_.string(), false, &budget};
+  exchange::ExchangeSpillConfig cfg{dir_.string(), &budget};
   exchange::ExchangeChannel::SendLimits limits{16, &cfg};
   exchange::ExchangeChannel ch;
 
@@ -163,7 +164,7 @@ TEST_F(ExchangeSpillTest, NetworkSpillDeliversBitIdenticalRowsInOrder) {
 
   exchange::ExchangeNetwork uncapped(3, /*batch_rows=*/16);
   exchange::SpillBudget budget;
-  exchange::ExchangeSpillConfig cfg{dir_.string(), false, &budget};
+  exchange::ExchangeSpillConfig cfg{dir_.string(), &budget};
   exchange::ExchangeNetwork capped(3, /*batch_rows=*/16,
                                    /*max_channel_bytes=*/64, cfg);
 
@@ -200,11 +201,12 @@ TEST_F(ExchangeSpillTest, NetworkSpillDeliversBitIdenticalRowsInOrder) {
 }
 
 TEST_F(ExchangeSpillTest, FailedShuffleRollsBackPartialSends) {
-  // Strict mode with a cap that admits some batches and then denies: the
-  // failed operator must leave zero queued payload, zero cross-node
-  // accounting, and no spill files — the old partial-send bug.
-  exchange::SpillBudget budget;
-  exchange::ExchangeSpillConfig cfg{dir_.string(), /*strict=*/true, &budget};
+  // A cap that admits some batches in memory and a 1-byte spill budget that
+  // then denies the first overflow: the failed operator must leave zero
+  // queued payload, zero cross-node accounting, and no spill files — the
+  // old partial-send bug.
+  exchange::SpillBudget budget(1);
+  exchange::ExchangeSpillConfig cfg{dir_.string(), &budget};
   exchange::ExchangeNetwork net(2, /*batch_rows=*/4,
                                 /*max_channel_bytes=*/200, cfg);
   std::vector<Row> rows;
@@ -230,7 +232,7 @@ TEST_F(ExchangeSpillTest, FailedShuffleRollsBackPartialSends) {
 
 TEST_F(ExchangeSpillTest, TruncatedSpillSegmentIsCorruption) {
   exchange::SpillBudget budget;
-  exchange::ExchangeSpillConfig cfg{dir_.string(), false, &budget};
+  exchange::ExchangeSpillConfig cfg{dir_.string(), &budget};
   exchange::ExchangeChannel::SendLimits limits{8, &cfg};
   exchange::ExchangeChannel ch;
   ASSERT_TRUE(ch.Send(std::string(8, 'm'), limits).ok());   // memory
@@ -252,7 +254,7 @@ TEST_F(ExchangeSpillTest, CorruptSpilledBatchFailsDecodeNotSilently) {
   // DecodeBatch with InvalidArgument on the receive path — corrupt spill
   // can never turn into wrong rows.
   exchange::SpillBudget budget;
-  exchange::ExchangeSpillConfig cfg{dir_.string(), false, &budget};
+  exchange::ExchangeSpillConfig cfg{dir_.string(), &budget};
   exchange::ExchangeNetwork net(2, /*batch_rows=*/4, /*max_channel_bytes=*/8,
                                 cfg);
   std::vector<Row> rows;
@@ -293,14 +295,10 @@ TEST_F(ExchangeSpillTest, FailingQueryLeaksNoSpillFiles) {
     ASSERT_TRUE(t.Commit().ok());
   }
 
-  DistributedJoinSpec spec;
-  spec.left_table = "orders";
-  spec.right_table = "lookup";
-  spec.left_key = "o_id";
-  spec.right_key = "l_id";
+  JoinQuery spec{"orders", "lookup", "o_id", "l_id"};
 
-  DistributedJoinOptions opts;
-  opts.strategy = JoinStrategy::kRepartition;
+  DistExecOptions opts;
+  opts.strategy_override = JoinStrategy::kRepartition;
   opts.parallel = false;  // deterministic send order across DNs
   opts.max_channel_bytes = 64;
   opts.spill_dir = dir_.string();
@@ -311,19 +309,36 @@ TEST_F(ExchangeSpillTest, FailingQueryLeaksNoSpillFiles) {
   // denial, with live spill files for the failure path to clean up.
   opts.batch_rows = 8;
   opts.max_spill_bytes = 2048;
-  auto fail = DistributedJoin(&cluster, spec, opts);
+  auto fail = ExecuteDistPlan(&cluster, spec.Plan(), opts);
   ASSERT_FALSE(fail.ok());
   EXPECT_EQ(fail.status().code(), StatusCode::kResourceExhausted);
   EXPECT_GT(cluster.metrics().Get("exchange.bytes_denied"), 0);
   EXPECT_GT(cluster.metrics().Get("exchange.bytes_aborted"), 0);
   EXPECT_EQ(FilesInDir(), 0u);  // every spill segment was cleaned up
 
+  // Pipelined, with a channel cap below one batch and a 1-byte budget: the
+  // first spill is denied whatever the consumer timing. The failure must
+  // surface promptly — consumers blocked in the pipelined pop are released
+  // by the failed producer's close, not by the 60 s pop deadline.
+  const int64_t denied0 = cluster.metrics().Get("exchange.bytes_denied");
+  DistExecOptions piped = opts;
+  piped.pipeline = true;
+  piped.max_spill_bytes = 1;
+  const auto t0 = std::chrono::steady_clock::now();
+  auto piped_fail = ExecuteDistPlan(&cluster, spec.Plan(), piped);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  ASSERT_FALSE(piped_fail.ok());
+  EXPECT_EQ(piped_fail.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_GT(cluster.metrics().Get("exchange.bytes_denied"), denied0);
+  EXPECT_EQ(FilesInDir(), 0u);
+  EXPECT_LT(waited, std::chrono::seconds(30));
+
   // Same query with a sufficient budget completes — and still cleans up.
   opts.max_spill_bytes = 0;
-  auto ok = DistributedJoin(&cluster, spec, opts);
+  auto ok = ExecuteDistPlan(&cluster, spec.Plan(), opts);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->table.num_rows(), 16u);
-  EXPECT_GT(ok->spill_bytes, 0u);
+  EXPECT_GT(ok->stats.spill_bytes, 0u);
   EXPECT_EQ(FilesInDir(), 0u);
 }
 
@@ -347,23 +362,19 @@ TEST_F(ExchangeSpillTest, BuildSideSpillKeepsJoinBitIdentical) {
     ASSERT_TRUE(t.Commit().ok());
   }
 
-  DistributedJoinSpec spec;
-  spec.left_table = "orders";
-  spec.right_table = "lookup";
-  spec.left_key = "o_id";
-  spec.right_key = "l_id";
+  JoinQuery spec{"orders", "lookup", "o_id", "l_id"};
 
-  DistributedJoinOptions opts;
-  opts.strategy = JoinStrategy::kBroadcast;
-  auto plain = DistributedJoin(&cluster, spec, opts);
+  DistExecOptions opts;
+  opts.strategy_override = JoinStrategy::kBroadcast;
+  auto plain = ExecuteDistPlan(&cluster, spec.Plan(), opts);
   ASSERT_TRUE(plain.ok());
 
   opts.max_build_bytes = 256;  // well under the broadcast side's size
   opts.spill_dir = dir_.string();
-  auto spooled = DistributedJoin(&cluster, spec, opts);
+  auto spooled = ExecuteDistPlan(&cluster, spec.Plan(), opts);
   ASSERT_TRUE(spooled.ok()) << spooled.status().ToString();
-  EXPECT_GT(spooled->build_spill_bytes, 0u);
-  EXPECT_GT(spooled->sim_latency_us, plain->sim_latency_us);
+  EXPECT_GT(spooled->stats.build_spill_bytes, 0u);
+  EXPECT_GT(spooled->stats.sim_latency_us, plain->stats.sim_latency_us);
   EXPECT_GT(cluster.metrics().Get("exchange.bytes_spilled"), 0);
   EXPECT_EQ(FilesInDir(), 0u);
 
@@ -405,7 +416,7 @@ TEST_F(ExchangeSpillTest, PipelinedCappedExchangeLeaksNoFilesOrBudget) {
   }
 
   exchange::SpillBudget budget;
-  exchange::ExchangeSpillConfig cfg{dir_.string(), /*strict=*/false, &budget};
+  exchange::ExchangeSpillConfig cfg{dir_.string(), &budget};
   {
     exchange::ExchangeNetwork net(3, /*batch_rows=*/8,
                                   /*max_channel_bytes=*/64, cfg);

@@ -12,8 +12,8 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/mpp_query.h"
 #include "common/rng.h"
+#include "dist_plans.h"
 
 namespace ofi::cluster {
 namespace {
@@ -93,16 +93,15 @@ class HtapFreshnessTest : public ::testing::Test {
   void CompareBoth(sql::ExprPtr col_filter, sql::ExprPtr row_filter,
                    std::vector<std::string> group_by,
                    std::vector<DistributedAgg> aggs, const std::string& what) {
-    auto columnar = DistributedAggregate(&cluster_, "sales",
-                                         std::move(col_filter), group_by, aggs);
-    DistributedOptions row_only;
-    row_only.use_columnar = false;
-    auto rows = DistributedAggregate(&cluster_, "sales", std::move(row_filter),
-                                     group_by, aggs, row_only);
+    auto columnar = ExecuteDistPlan(
+        &cluster_, AggPlan("sales", std::move(col_filter), group_by, aggs));
+    auto rows = ExecuteDistPlan(
+        &cluster_, AggPlan("sales", std::move(row_filter), group_by, aggs,
+                           ScanPath::kRow));
     ASSERT_TRUE(columnar.ok()) << what << ": " << columnar.status().ToString();
     ASSERT_TRUE(rows.ok()) << what << ": " << rows.status().ToString();
-    EXPECT_EQ(columnar->columnar_shards, 4u) << what;
-    EXPECT_EQ(rows->columnar_shards, 0u) << what;
+    EXPECT_EQ(columnar->stats.columnar_shards, 4u) << what;
+    EXPECT_EQ(rows->stats.columnar_shards, 0u) << what;
     ExpectSameTable(columnar->table, rows->table, what);
   }
 
@@ -242,13 +241,15 @@ TEST_F(HtapFreshnessTest, ConcurrentMergeScanWriteStress) {
   });
 
   auto scanner = [&] {
-    DistributedOptions opts;
+    DistExecOptions opts;
     opts.parallel = false;  // inline scatter; pool stays free for merges
     int64_t last = 0;
     while (!writer_done.load()) {
-      auto res = DistributedAggregate(&cluster_, "sales", nullptr, {},
-                                      {{AggFunc::kCount, "", "n"}}, opts);
-      if (!res.ok() || res->columnar_shards != 4u) {
+      auto res = ExecuteDistPlan(&cluster_,
+                                 AggPlan("sales", nullptr, {},
+                                         {{AggFunc::kCount, "", "n"}}),
+                                 opts);
+      if (!res.ok() || res->stats.columnar_shards != 4u) {
         ++failures;
         return;
       }
@@ -270,8 +271,8 @@ TEST_F(HtapFreshnessTest, ConcurrentMergeScanWriteStress) {
   CompareBoth(nullptr, nullptr, {},
               {{AggFunc::kCount, "", "n"}, {AggFunc::kSum, "amount", "s"}},
               "post-stress");
-  auto final_count = DistributedAggregate(&cluster_, "sales", nullptr, {},
-                                          {{AggFunc::kCount, "", "n"}});
+  auto final_count = ExecuteDistPlan(
+      &cluster_, AggPlan("sales", nullptr, {}, {{AggFunc::kCount, "", "n"}}));
   ASSERT_TRUE(final_count.ok());
   EXPECT_EQ(final_count->table.rows()[0][0].AsInt(), 60 + kWriterRows);
   EXPECT_GT(cluster_.metrics().Get("columnar.merges"), 0);
@@ -286,11 +287,11 @@ TEST_F(HtapFreshnessTest, MergeShrinksDeltaAndPublishesMetrics) {
   cluster_.set_auto_merge(false);  // keep the tails until we say so
 
   for (int64_t k = 100; k < 140; ++k) Insert(k, &rng);
-  auto tailed = DistributedAggregate(&cluster_, "sales", nullptr, {},
-                                     {{AggFunc::kCount, "", "n"}});
+  auto tailed = ExecuteDistPlan(
+      &cluster_, AggPlan("sales", nullptr, {}, {{AggFunc::kCount, "", "n"}}));
   ASSERT_TRUE(tailed.ok());
   EXPECT_EQ(tailed->table.rows()[0][0].AsInt(), 140);
-  EXPECT_EQ(tailed->scan_stats.delta_rows, 40u);
+  EXPECT_EQ(tailed->stats.scan_stats.delta_rows, 40u);
   EXPECT_EQ(cluster_.metrics().Get("columnar.merges"), 0);
 
   auto merged = cluster_.RefreshColumnar("sales");
@@ -299,11 +300,11 @@ TEST_F(HtapFreshnessTest, MergeShrinksDeltaAndPublishesMetrics) {
   EXPECT_GT(cluster_.metrics().Get("columnar.merges"), 0);
   EXPECT_EQ(cluster_.metrics().Get("columnar.merge_rows"), 40);
 
-  auto clean = DistributedAggregate(&cluster_, "sales", nullptr, {},
-                                    {{AggFunc::kCount, "", "n"}});
+  auto clean = ExecuteDistPlan(
+      &cluster_, AggPlan("sales", nullptr, {}, {{AggFunc::kCount, "", "n"}}));
   ASSERT_TRUE(clean.ok());
   EXPECT_EQ(clean->table.rows()[0][0].AsInt(), 140);
-  EXPECT_EQ(clean->scan_stats.delta_rows, 0u);
+  EXPECT_EQ(clean->stats.scan_stats.delta_rows, 0u);
 }
 
 }  // namespace

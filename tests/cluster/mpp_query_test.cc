@@ -1,11 +1,10 @@
-/// MPP scatter-gather aggregation: partial/final decomposition must equal a
-/// centralized computation, move only group-sized state, and read one
-/// consistent snapshot.
-#include "cluster/mpp_query.h"
-
+/// MPP scatter-gather aggregation (AggPlan through ExecuteDistPlan):
+/// partial/final decomposition must equal a centralized computation, move
+/// only group-sized state, and read one consistent snapshot.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "dist_plans.h"
 #include "sql/executor.h"
 
 namespace ofi::cluster {
@@ -57,12 +56,12 @@ class MppQueryTest : public ::testing::Test {
 };
 
 TEST_F(MppQueryTest, GlobalCountSumMinMax) {
-  auto result = DistributedAggregate(
-      &cluster_, "sales", nullptr, {},
-      {{AggFunc::kCount, "", "n"},
-       {AggFunc::kSum, "amount", "total"},
-       {AggFunc::kMin, "amount", "lo"},
-       {AggFunc::kMax, "amount", "hi"}});
+  auto result = ExecuteDistPlan(&cluster_,
+                                AggPlan("sales", nullptr, {},
+                                        {{AggFunc::kCount, "", "n"},
+                                         {AggFunc::kSum, "amount", "total"},
+                                         {AggFunc::kMin, "amount", "lo"},
+                                         {AggFunc::kMax, "amount", "hi"}}));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   sql::Table expected = Centralized(
       nullptr, {},
@@ -77,9 +76,10 @@ TEST_F(MppQueryTest, GlobalCountSumMinMax) {
 }
 
 TEST_F(MppQueryTest, GroupByMatchesCentralized) {
-  auto result = DistributedAggregate(
-      &cluster_, "sales", nullptr, {"region"},
-      {{AggFunc::kCount, "", "n"}, {AggFunc::kSum, "amount", "total"}});
+  auto result = ExecuteDistPlan(&cluster_,
+                                AggPlan("sales", nullptr, {"region"},
+                                        {{AggFunc::kCount, "", "n"},
+                                         {AggFunc::kSum, "amount", "total"}}));
   ASSERT_TRUE(result.ok());
   sql::Table expected =
       Centralized(nullptr, {"region"},
@@ -98,8 +98,9 @@ TEST_F(MppQueryTest, GroupByMatchesCentralized) {
 }
 
 TEST_F(MppQueryTest, AvgDecomposesIntoSumCount) {
-  auto result = DistributedAggregate(&cluster_, "sales", nullptr, {"region"},
-                                     {{AggFunc::kAvg, "amount", "avg_amt"}});
+  auto result = ExecuteDistPlan(
+      &cluster_, AggPlan("sales", nullptr, {"region"},
+                         {{AggFunc::kAvg, "amount", "avg_amt"}}));
   ASSERT_TRUE(result.ok());
   sql::Table expected =
       Centralized(nullptr, {"region"},
@@ -114,9 +115,9 @@ TEST_F(MppQueryTest, AvgDecomposesIntoSumCount) {
 }
 
 TEST_F(MppQueryTest, FilterPushedToShards) {
-  auto result = DistributedAggregate(&cluster_, "sales",
-                                     Expr::Gt("amount", Value(50)), {},
-                                     {{AggFunc::kCount, "", "n"}});
+  auto result = ExecuteDistPlan(&cluster_,
+                                AggPlan("sales", Expr::Gt("amount", Value(50)),
+                                        {}, {{AggFunc::kCount, "", "n"}}));
   ASSERT_TRUE(result.ok());
   int64_t expected = 0;
   for (const auto& r : reference_) expected += r[2].AsInt() > 50;
@@ -124,26 +125,27 @@ TEST_F(MppQueryTest, FilterPushedToShards) {
 }
 
 TEST_F(MppQueryTest, PartialStateMuchSmallerThanRows) {
-  auto result = DistributedAggregate(&cluster_, "sales", nullptr, {"region"},
-                                     {{AggFunc::kSum, "amount", "total"}});
+  auto result = ExecuteDistPlan(&cluster_,
+                                AggPlan("sales", nullptr, {"region"},
+                                        {{AggFunc::kSum, "amount", "total"}}));
   ASSERT_TRUE(result.ok());
   // 400 rows stay put; only ~5 groups x 4 shards of state move.
-  EXPECT_LT(result->partial_bytes * 5, result->naive_bytes);
-  EXPECT_GT(result->naive_bytes, 0u);
+  EXPECT_LT(result->stats.partial_bytes * 5, result->stats.naive_bytes);
+  EXPECT_GT(result->stats.naive_bytes, 0u);
 }
 
 TEST_F(MppQueryTest, EmptyFilterResultYieldsCountZero) {
-  auto result = DistributedAggregate(&cluster_, "sales",
-                                     Expr::Gt("amount", Value(100000)), {},
-                                     {{AggFunc::kCount, "", "n"}});
+  auto result = ExecuteDistPlan(
+      &cluster_, AggPlan("sales", Expr::Gt("amount", Value(100000)), {},
+                         {{AggFunc::kCount, "", "n"}}));
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->table.num_rows(), 1u);
   EXPECT_EQ(result->table.rows()[0][0].AsInt(), 0);
 }
 
 TEST_F(MppQueryTest, UnknownTableFails) {
-  EXPECT_FALSE(DistributedAggregate(&cluster_, "nope", nullptr, {},
-                                    {{AggFunc::kCount, "", "n"}})
+  EXPECT_FALSE(ExecuteDistPlan(&cluster_, AggPlan("nope", nullptr, {},
+                                                  {{AggFunc::kCount, "", "n"}}))
                    .ok());
 }
 
@@ -162,9 +164,10 @@ TEST_F(MppQueryTest, AvgOfAllNullGroupIsNull) {
     ASSERT_TRUE(t.Insert("sparse", Value(i), {Value(i), Value(i % 4), v}).ok());
     ASSERT_TRUE(t.Commit().ok());
   }
-  auto result = DistributedAggregate(&cluster_, "sparse", nullptr, {"g"},
-                                     {{AggFunc::kAvg, "v", "av"},
-                                      {AggFunc::kCount, "", "n"}});
+  auto result = ExecuteDistPlan(&cluster_,
+                                AggPlan("sparse", nullptr, {"g"},
+                                        {{AggFunc::kAvg, "v", "av"},
+                                         {AggFunc::kCount, "", "n"}}));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->table.num_rows(), 4u);
   for (const auto& r : result->table.rows()) {
@@ -189,8 +192,8 @@ TEST_F(MppQueryTest, AvgOfAllNullColumnGlobalIsNull) {
     ASSERT_TRUE(t.Insert("nulls", Value(i), {Value(i), Value::Null()}).ok());
     ASSERT_TRUE(t.Commit().ok());
   }
-  auto result = DistributedAggregate(&cluster_, "nulls", nullptr, {},
-                                     {{AggFunc::kAvg, "v", "av"}});
+  auto result = ExecuteDistPlan(
+      &cluster_, AggPlan("nulls", nullptr, {}, {{AggFunc::kAvg, "v", "av"}}));
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->table.num_rows(), 1u);
   EXPECT_TRUE(result->table.rows()[0][0].is_null());
@@ -210,8 +213,9 @@ TEST_F(MppQueryTest, QualifiedGroupByColumnsKeepDistinctNames) {
             .ok());
     ASSERT_TRUE(t.Commit().ok());
   }
-  auto result = DistributedAggregate(&cluster_, "dup", nullptr, {"a.x", "b.x"},
-                                     {{AggFunc::kCount, "", "n"}});
+  auto result = ExecuteDistPlan(&cluster_,
+                                AggPlan("dup", nullptr, {"a.x", "b.x"},
+                                        {{AggFunc::kCount, "", "n"}}));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->table.schema().column(0).name, "a.x");
   EXPECT_EQ(result->table.schema().column(1).name, "b.x");
@@ -220,8 +224,9 @@ TEST_F(MppQueryTest, QualifiedGroupByColumnsKeepDistinctNames) {
 
 // With no collision the bare name is used for readability.
 TEST_F(MppQueryTest, UnambiguousQualifiedGroupByStripsToBareName) {
-  auto result = DistributedAggregate(&cluster_, "sales", nullptr, {"region"},
-                                     {{AggFunc::kCount, "", "n"}});
+  auto result = ExecuteDistPlan(&cluster_,
+                                AggPlan("sales", nullptr, {"region"},
+                                        {{AggFunc::kCount, "", "n"}}));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->table.schema().column(0).name, "region");
   EXPECT_EQ(result->table.schema().column(1).name, "n");
@@ -230,13 +235,15 @@ TEST_F(MppQueryTest, UnambiguousQualifiedGroupByStripsToBareName) {
 // Output names that still collide after disambiguation are an error, not a
 // silently shadowed column.
 TEST_F(MppQueryTest, DuplicateOutputNamesRejected) {
-  auto result = DistributedAggregate(
-      &cluster_, "sales", nullptr, {},
-      {{AggFunc::kCount, "", "n"}, {AggFunc::kSum, "amount", "n"}});
+  auto result = ExecuteDistPlan(&cluster_,
+                                AggPlan("sales", nullptr, {},
+                                        {{AggFunc::kCount, "", "n"},
+                                         {AggFunc::kSum, "amount", "n"}}));
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());
-  auto result2 = DistributedAggregate(&cluster_, "sales", nullptr, {"region"},
-                                      {{AggFunc::kSum, "amount", "region"}});
+  auto result2 = ExecuteDistPlan(
+      &cluster_, AggPlan("sales", nullptr, {"region"},
+                         {{AggFunc::kSum, "amount", "region"}}));
   EXPECT_FALSE(result2.ok());
 }
 
@@ -244,24 +251,24 @@ TEST_F(MppQueryTest, EmptyTableEdgeCases) {
   Schema schema({Column{"k", TypeId::kInt64, ""}, Column{"v", TypeId::kInt64, ""}});
   ASSERT_TRUE(cluster_.CreateTable("void", schema).ok());
   // Global aggregate: one row, COUNT 0, SUM NULL.
-  auto global = DistributedAggregate(&cluster_, "void", nullptr, {},
-                                     {{AggFunc::kCount, "", "n"},
-                                      {AggFunc::kSum, "v", "s"}});
+  auto global = ExecuteDistPlan(
+      &cluster_, AggPlan("void", nullptr, {}, {{AggFunc::kCount, "", "n"},
+                                               {AggFunc::kSum, "v", "s"}}));
   ASSERT_TRUE(global.ok());
   ASSERT_EQ(global->table.num_rows(), 1u);
   EXPECT_EQ(global->table.rows()[0][0].AsInt(), 0);
   EXPECT_TRUE(global->table.rows()[0][1].is_null());
   // Grouped aggregate: no groups, no rows.
-  auto grouped = DistributedAggregate(&cluster_, "void", nullptr, {"v"},
-                                      {{AggFunc::kCount, "", "n"}});
+  auto grouped = ExecuteDistPlan(
+      &cluster_, AggPlan("void", nullptr, {"v"}, {{AggFunc::kCount, "", "n"}}));
   ASSERT_TRUE(grouped.ok());
   EXPECT_EQ(grouped->table.num_rows(), 0u);
 }
 
 TEST_F(MppQueryTest, FilterEliminatingAllRowsGroupedYieldsNoRows) {
-  auto result = DistributedAggregate(&cluster_, "sales",
-                                     Expr::Gt("amount", Value(100000)),
-                                     {"region"}, {{AggFunc::kSum, "amount", "s"}});
+  auto result = ExecuteDistPlan(
+      &cluster_, AggPlan("sales", Expr::Gt("amount", Value(100000)), {"region"},
+                         {{AggFunc::kSum, "amount", "s"}}));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->table.num_rows(), 0u);
 }
@@ -277,13 +284,13 @@ TEST(MppQuerySingleDnTest, SingleDnMatchesLocalAggregate) {
     ASSERT_TRUE(t.Commit().ok());
     total += i * 3;
   }
-  auto result = DistributedAggregate(&cluster, "t", nullptr, {},
-                                     {{AggFunc::kCount, "", "n"},
-                                      {AggFunc::kSum, "v", "s"}});
+  auto result = ExecuteDistPlan(&cluster, AggPlan("t", nullptr, {},
+                                                  {{AggFunc::kCount, "", "n"},
+                                                   {AggFunc::kSum, "v", "s"}}));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->table.rows()[0][0].AsInt(), 30);
   EXPECT_EQ(result->table.rows()[0][1].AsInt(), total);
-  EXPECT_GT(result->sim_latency_us, 0);
+  EXPECT_GT(result->stats.sim_latency_us, 0);
 }
 
 // With a failed primary, its promoted backup serves both shards and the
@@ -305,9 +312,9 @@ TEST(MppQueryFailoverTest, DownDnServedByBackupMatchesReference) {
     want[i % 3].second += i;
   }
   ASSERT_TRUE(cluster.FailDn(1).ok());
-  auto result = DistributedAggregate(&cluster, "t", nullptr, {"g"},
-                                     {{AggFunc::kCount, "", "n"},
-                                      {AggFunc::kSum, "v", "s"}});
+  auto result = ExecuteDistPlan(&cluster, AggPlan("t", nullptr, {"g"},
+                                                  {{AggFunc::kCount, "", "n"},
+                                                   {AggFunc::kSum, "v", "s"}}));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   std::map<int64_t, std::pair<int64_t, int64_t>> got;
   for (const auto& r : result->table.rows()) {
@@ -317,27 +324,26 @@ TEST(MppQueryFailoverTest, DownDnServedByBackupMatchesReference) {
 }
 
 TEST_F(MppQueryTest, ParallelAndSerialExecutionAgree) {
-  DistributedOptions serial;
+  DistExecOptions serial;
   serial.parallel = false;
   // Start each run from a clean simulated schedule so the two latency
   // numbers are comparable (the scheduler retains busy intervals per query).
   cluster_.ResetSimTime();
-  auto a = DistributedAggregate(&cluster_, "sales", Expr::Gt("amount", Value(20)),
-                                {"region"},
-                                {{AggFunc::kCount, "", "n"},
-                                 {AggFunc::kAvg, "amount", "av"}});
+  auto a = ExecuteDistPlan(
+      &cluster_, AggPlan("sales", Expr::Gt("amount", Value(20)), {"region"},
+                         {{AggFunc::kCount, "", "n"},
+                          {AggFunc::kAvg, "amount", "av"}}));
   cluster_.ResetSimTime();
-  auto b = DistributedAggregate(&cluster_, "sales", Expr::Gt("amount", Value(20)),
-                                {"region"},
-                                {{AggFunc::kCount, "", "n"},
-                                 {AggFunc::kAvg, "amount", "av"}},
-                                serial);
+  auto b = ExecuteDistPlan(
+      &cluster_, AggPlan("sales", Expr::Gt("amount", Value(20)), {"region"},
+                         {{AggFunc::kCount, "", "n"},
+                          {AggFunc::kAvg, "amount", "av"}}),
+      serial);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   // The execution mode changes wall-clock only: identical rows (order-
   // insensitive) and identical simulated latencies.
-  EXPECT_EQ(a->sim_latency_us, b->sim_latency_us);
-  EXPECT_EQ(a->sim_latency_serial_us, b->sim_latency_serial_us);
+  EXPECT_EQ(a->stats.sim_latency_us, b->stats.sim_latency_us);
   auto to_map = [](const sql::Table& t) {
     std::map<int64_t, std::pair<int64_t, double>> m;
     for (const auto& r : t.rows()) m[r[0].AsInt()] = {r[1].AsInt(), r[2].AsDouble()};
@@ -346,10 +352,9 @@ TEST_F(MppQueryTest, ParallelAndSerialExecutionAgree) {
   EXPECT_EQ(to_map(a->table), to_map(b->table));
 }
 
-// The latency-model change the tentpole exists for: scatter charged as
-// max-over-DNs stays ~flat as shards are added, while the old chained-sum
-// estimate grows linearly.
-TEST(MppQueryLatencyTest, ParallelLatencyFlatSerialLatencyLinear) {
+// Scatter charged as max-over-DNs stays ~flat as shards are added: every DN
+// works concurrently on its own resource, so only the gather term grows.
+TEST(MppQueryLatencyTest, ParallelLatencyStaysFlatInDnCount) {
   auto run = [](int num_dns) {
     Cluster cluster(num_dns, Protocol::kGtmLite);
     Schema schema(
@@ -361,20 +366,15 @@ TEST(MppQueryLatencyTest, ParallelLatencyFlatSerialLatencyLinear) {
       EXPECT_TRUE(t.Commit().ok());
     }
     cluster.ResetSimTime();  // measure the query alone, not the data load
-    auto result = DistributedAggregate(&cluster, "t", nullptr, {},
-                                       {{AggFunc::kSum, "v", "s"}});
+    auto result = ExecuteDistPlan(
+        &cluster, AggPlan("t", nullptr, {}, {{AggFunc::kSum, "v", "s"}}));
     EXPECT_TRUE(result.ok());
     return *result;
   };
-  DistributedResult one = run(1);
-  DistributedResult eight = run(8);
-  // Parallel model: 8 shards cost at most 2x one shard (gather term only).
-  EXPECT_LT(eight.sim_latency_us, 2 * one.sim_latency_us);
-  // Serial model: 8 shards cost several times the parallel number.
-  EXPECT_GT(eight.sim_latency_serial_us, 3 * eight.sim_latency_us);
-  // On one shard the two models agree up to nothing at all: same single
-  // round trip, same gather term.
-  EXPECT_EQ(one.sim_latency_us, one.sim_latency_serial_us);
+  DistPlanResult one = run(1);
+  DistPlanResult eight = run(8);
+  // 8 shards cost at most 2x one shard (gather term only).
+  EXPECT_LT(eight.stats.sim_latency_us, 2 * one.stats.sim_latency_us);
 }
 
 }  // namespace

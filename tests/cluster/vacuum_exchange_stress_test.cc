@@ -12,8 +12,8 @@
 #include <atomic>
 #include <thread>
 
-#include "cluster/mpp_query.h"
 #include "common/rng.h"
+#include "dist_plans.h"
 #include "sql/executor.h"
 
 namespace ofi::cluster {
@@ -81,11 +81,7 @@ TEST(VacuumExchangeStressTest, JoinsStayExactWhileVacuumRuns) {
     }
   }
 
-  DistributedJoinSpec spec;
-  spec.left_table = "fact";
-  spec.right_table = "dim";
-  spec.left_key = "dim_id";
-  spec.right_key = "d_id";
+  JoinQuery spec{"fact", "dim", "dim_id", "d_id"};
 
   // Single-node reference over the final committed images.
   sql::Catalog catalog;
@@ -110,10 +106,10 @@ TEST(VacuumExchangeStressTest, JoinsStayExactWhileVacuumRuns) {
   });
 
   for (int iter = 0; iter < 12; ++iter) {
-    DistributedJoinOptions opts;
-    opts.strategy = iter % 2 == 0 ? JoinStrategy::kBroadcast
+    DistExecOptions opts;
+    opts.strategy_override = iter % 2 == 0 ? JoinStrategy::kBroadcast
                                   : JoinStrategy::kRepartition;
-    auto result = DistributedJoin(&cluster, spec, opts);
+    auto result = ExecuteDistPlan(&cluster, spec.Plan(), opts);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     std::vector<Row> got = Canonical(result->table);
     ASSERT_EQ(got.size(), want.size()) << "iter " << iter;

@@ -30,10 +30,17 @@ TEST(MvccConcurrencyTest, ConcurrentScansAndCommittedWrites) {
   constexpr int kPerWriter = 200;
   constexpr int kReaders = 4;
   std::atomic<bool> stop{false};
+  std::atomic<int> scans{0};
 
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
+      // Start writing only once the readers are scanning: 400 inserts can
+      // otherwise finish before any reader thread is scheduled, and the
+      // scans would never overlap a write.
+      while (scans.load(std::memory_order_acquire) < kReaders) {
+        std::this_thread::yield();
+      }
       for (int i = 0; i < kPerWriter; ++i) {
         int64_t key = w * kPerWriter + i;
         txn::Xid xid = mgr.Begin();
@@ -48,7 +55,6 @@ TEST(MvccConcurrencyTest, ConcurrentScansAndCommittedWrites) {
   }
 
   std::vector<std::thread> readers;
-  std::atomic<int> scans{0};
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_acquire)) {
@@ -64,7 +70,7 @@ TEST(MvccConcurrencyTest, ConcurrentScansAndCommittedWrites) {
           EXPECT_EQ(row[1].AsInt(), row[0].AsInt() * 2);
         }
         ASSERT_TRUE(mgr.Commit(xid).ok());
-        scans.fetch_add(1, std::memory_order_relaxed);
+        scans.fetch_add(1, std::memory_order_release);
       }
     });
   }

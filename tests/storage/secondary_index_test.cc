@@ -349,11 +349,19 @@ TEST(SecondaryIndexConcurrencyTest, ConcurrentWritersAndProbes) {
   constexpr int kWriters = 2;
   constexpr int kPerWriter = 150;
   constexpr int64_t kMaxGrp = 5;
+  constexpr int kProbers = 2;
   std::atomic<bool> stop{false};
+  std::atomic<int> probes{0};
 
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
+      // Start writing only once the probers are running: the writes can
+      // otherwise finish before any prober thread is scheduled, and the
+      // probes would never overlap a write.
+      while (probes.load(std::memory_order_acquire) < kProbers) {
+        std::this_thread::yield();
+      }
       Rng rng(100 + w);
       for (int i = 0; i < kPerWriter; ++i) {
         int64_t k = w * kPerWriter + i;
@@ -385,8 +393,7 @@ TEST(SecondaryIndexConcurrencyTest, ConcurrentWritersAndProbes) {
   }
 
   std::vector<std::thread> probers;
-  std::atomic<int> probes{0};
-  for (int r = 0; r < 2; ++r) {
+  for (int r = 0; r < kProbers; ++r) {
     probers.emplace_back([&, r] {
       Rng rng(200 + r);
       while (!stop.load(std::memory_order_acquire)) {
@@ -406,7 +413,7 @@ TEST(SecondaryIndexConcurrencyTest, ConcurrentWritersAndProbes) {
           ASSERT_EQ(*via_index, *via_heap);
         }
         ASSERT_TRUE(h.mgr.Commit(xid).ok());
-        probes.fetch_add(1, std::memory_order_relaxed);
+        probes.fetch_add(1, std::memory_order_release);
       }
     });
   }
