@@ -7,10 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <mutex>
-#include <queue>
 #include <vector>
 
 namespace ofi {
@@ -23,80 +20,117 @@ using SimTime = int64_t;
 /// Actors (clients, data nodes, the GTM) are modeled as serialized
 /// resources. Each resource keeps its set of busy intervals; charging work
 /// packs the request into the earliest idle gap at or after its arrival
-/// (gap-fitting). This makes the result independent of the order in which
-/// charges are issued — closed-loop clients execute whole transactions in
-/// code order while their requests interleave correctly in simulated time —
+/// (gap-fitting). Closed-loop clients can thus execute whole transactions
+/// in code order while their requests still interleave in simulated time,
 /// and a shared resource still saturates at 1/service-time requests per
 /// second, the bottleneck behaviour GTM-lite removes from the GTM.
 ///
-/// Thread safety: all methods take an internal mutex. Because gap-fitting
-/// makes completion times independent of charge issue order, charging from
-/// background threads (e.g. delta-merge tasks) stays deterministic as long
-/// as the *set* of (resource, arrival, service) charges is deterministic.
+/// Resources are independent of each other: completion times on one
+/// resource depend only on the charges made to that resource. Within one
+/// resource the order of charges matters. With [100,200) idle, charging
+/// (arrival 100, 100 µs) then (arrival 150, 50 µs) completes at 200 and
+/// 350; the reverse order completes at 400 and 200. Charges made from
+/// background threads, such as the delta-merge charges of
+/// `Cluster::ChargeDnMerge`, race with foreground charges on the same DN,
+/// and are one source of run-to-run variation in simulated numbers.
+///
+/// Cost: a charge costs O(log n) in the number of disjoint busy intervals
+/// of its resource, however long the history (see BusyIntervals).
+///
+/// Thread safety: all methods take an internal mutex.
 class SimScheduler {
  public:
   /// Registers a serialized resource; returns its id.
-  int AddResource() {
-    std::lock_guard lock(mu_);
-    resources_.emplace_back();
-    return static_cast<int>(resources_.size()) - 1;
-  }
+  int AddResource();
 
   /// Charges `service_us` of serialized work on `resource` for a request
   /// arriving at `arrival`. Returns the completion time (the request waits
-  /// for the first idle gap big enough to hold it).
-  SimTime Charge(int resource, SimTime arrival, SimTime service_us) {
-    std::lock_guard lock(mu_);
-    auto& busy = resources_[resource].busy;
-    SimTime t = arrival;
-    auto it = busy.upper_bound(t);
-    if (it != busy.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second > t) t = prev->second;
-    }
-    // Slide over occupied intervals until a gap of `service_us` fits.
-    while (it != busy.end() && it->first < t + service_us) {
-      t = it->second;
-      ++it;
-    }
-    busy.emplace(t, t + service_us);
-    return t + service_us;
-  }
+  /// for the first idle gap big enough to hold it). A zero-service charge
+  /// records nothing and returns the first idle instant at or after
+  /// `arrival`.
+  SimTime Charge(int resource, SimTime arrival, SimTime service_us);
 
-  /// Total busy time charged to `resource` in [0, horizon) — utilization
-  /// reporting for benches.
-  SimTime BusyTime(int resource) const {
-    std::lock_guard lock(mu_);
-    SimTime total = 0;
-    for (const auto& [start, end] : resources_[resource].busy) total += end - start;
-    return total + resources_[resource].trimmed_busy;
-  }
+  /// Total service ever charged to `resource` (trimmed work included) —
+  /// utilization reporting for benches.
+  SimTime BusyTime(int resource) const;
 
   /// Drops interval bookkeeping that ended before `floor` (no future arrival
-  /// will be earlier). Call periodically from closed-loop drivers.
-  void Trim(SimTime floor) {
-    std::lock_guard lock(mu_);
-    for (auto& r : resources_) {
-      auto it = r.busy.begin();
-      while (it != r.busy.end() && it->second < floor) {
-        r.trimmed_busy += it->second - it->first;
-        it = r.busy.erase(it);
-      }
-    }
-  }
+  /// may be earlier: the completion of an earlier one depends on what was
+  /// dropped). Call periodically from closed-loop event loops such as
+  /// `RunTraffic`.
+  void Trim(SimTime floor);
 
-  void Reset() {
-    std::lock_guard lock(mu_);
-    for (auto& r : resources_) {
-      r.busy.clear();
-      r.trimmed_busy = 0;
-    }
-  }
+  void Reset();
 
  private:
+  /// \brief The busy intervals of one serialized resource, as a first-fit
+  /// index: the set of maximal busy intervals [start, end) — abutting
+  /// intervals are coalesced into one — kept in a treap keyed by start.
+  /// Each node also stores the idle gap to its successor and the largest
+  /// such gap in its subtree, so the first gap that holds a request is
+  /// found, and the interval inserted, in O(log n) expected, n = the number
+  /// of disjoint busy intervals. Treap priorities are a hash of the key:
+  /// no RNG state, no seed.
+  ///
+  /// Not thread-safe; SimScheduler serializes access.
+  class BusyIntervals {
+   public:
+    /// Where a request fits: it starts at `start`, between the intervals
+    /// `before` and `after` (node ids, -1 for none).
+    struct Slot {
+      SimTime start;
+      int32_t before;
+      int32_t after;
+    };
+
+    /// The earliest idle stretch of `service_us` at or after `arrival`
+    /// (for `service_us == 0`, the first idle instant).
+    Slot Fit(SimTime arrival, SimTime service_us) const;
+
+    /// Marks [slot.start, slot.start + service_us) busy; `slot` comes from
+    /// Fit(…, service_us) with no change in between, and service_us > 0.
+    void Insert(const Slot& slot, SimTime service_us);
+
+    /// Drops the intervals that ended before `floor`.
+    void DropEndingBefore(SimTime floor);
+
+    void Clear();
+
+   private:
+    // 48 bytes, held in a pool with no per-node allocation: no more than
+    // a std::map<SimTime, SimTime> node, before the allocator's overhead.
+    struct Node {
+      SimTime start;
+      SimTime end;
+      SimTime gap;      // idle time to the next interval; open after the last
+      SimTime max_gap;  // largest `gap` in this subtree
+      int32_t left;
+      int32_t right;
+      int32_t parent;
+    };
+
+    SimTime MaxGap(int32_t n) const;
+    bool Pull(int32_t n);
+    void PullUp(int32_t n);
+    void SetGap(int32_t n, SimTime gap);
+    int32_t FirstFitFrom(int32_t n, SimTime service_us) const;
+    int32_t Next(int32_t n) const;
+    void RotateUp(int32_t x);
+    void InsertNode(SimTime start, SimTime end, SimTime gap, int32_t before,
+                    int32_t after);
+    void RemoveNode(int32_t n);
+    int32_t Alloc(const Node& node);
+    void Free(int32_t n);
+    void FreeTree(int32_t n);
+
+    std::vector<Node> nodes_;  // node pool; free slots chain through `left`
+    int32_t root_ = -1;
+    int32_t free_ = -1;
+  };
+
   struct Resource {
-    std::map<SimTime, SimTime> busy;  // start -> end, non-overlapping
-    SimTime trimmed_busy = 0;
+    BusyIntervals busy;
+    SimTime busy_total = 0;
   };
   mutable std::mutex mu_;
   std::vector<Resource> resources_;
