@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Sanitizer gate for the concurrent read path: builds the asan
 # (Debug + ASan/UBSan) and tsan presets and runs the test suite under both.
-# Usage: scripts/check.sh [asan|tsan|all]   (default: all)
+# The bench gate builds the release preset and diffs the deterministic
+# BENCH_*.json baselines exactly (scripts/bench_diff.sh).
+# Usage: scripts/check.sh [asan|tsan|bench|all]   (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,15 +30,24 @@ run_preset() {
   scripts/sql_shell_smoke.sh "build-${preset}"
 }
 
+run_bench_diff() {
+  echo "=== release: configure + build + bench diff ==="
+  cmake --preset release
+  cmake --build --preset release -j "${jobs}"
+  scripts/bench_diff.sh build-release
+}
+
 case "${want}" in
   asan) run_preset asan ;;
   tsan) run_preset tsan ;;
+  bench) run_bench_diff ;;
   all)
     run_preset asan
     run_preset tsan
+    run_bench_diff
     ;;
   *)
-    echo "usage: $0 [asan|tsan|all]" >&2
+    echo "usage: $0 [asan|tsan|bench|all]" >&2
     exit 2
     ;;
 esac

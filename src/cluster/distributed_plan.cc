@@ -7,6 +7,7 @@
 #include <map>
 #include <optional>
 
+#include "common/thread_pool.h"
 #include "sql/executor.h"
 #include "storage/delta_store.h"
 #include "txn/snapshot.h"
@@ -592,12 +593,12 @@ Status MergeDeltaIntoGroupedAgg(Table* partial,
   return Status::OK();
 }
 
-/// Dispatches fn(0..n-1) per the parallel/pool options (shared contract
-/// across every fragment: execution mode never changes results).
-void RunScatter(bool parallel, common::ThreadPool* pool, int n,
-                const std::function<void(int)>& fn) {
+/// Dispatches fn(0..n-1) on the shared pool, or inline when !parallel
+/// (shared contract across every fragment: execution mode never changes
+/// results).
+void RunScatter(bool parallel, int n, const std::function<void(int)>& fn) {
   if (parallel) {
-    (pool ? pool : &common::ThreadPool::Shared())->ParallelFor(n, fn);
+    common::ThreadPool::Shared().ParallelFor(n, fn);
   } else {
     for (int i = 0; i < n; ++i) fn(i);
   }
@@ -701,12 +702,6 @@ class DistPlanExecutor {
 };
 
 Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
-  if (opts_.parallel && opts_.columnar_morsel_parallel) {
-    return Status::InvalidArgument(
-        "columnar_morsel_parallel requires parallel == false: pool workers "
-        "must not nest ParallelFor (disable the scatter parallelism to "
-        "morsel-parallelize within shards)");
-  }
   // Shape: FinalAgg? -> Gather -> PartialAgg? -> (DistScan | DistHashJoin
   // over two (optionally exchange-wrapped) DistScans).
   const DistOp* node = root.get();
@@ -884,47 +879,34 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
           static_cast<int64_t>(stats_.scan_stats.delta_rows));
   }
 
+  // The CN merges DN i's output in DN order (results are gathered
+  // identically under either schedule), paying the per-partial merge plus a
+  // size-aware receive when the gathered state is row-shaped (joins and
+  // plain scans, unlike aggregates, gather row-sized state). Pipelined, a
+  // merge starts the moment its DN is done; barrier, no earlier than the
+  // slowest DN. Telescoped cumulative KiB keeps the byte service equal to
+  // one charge over every partial, so the barrier total is parallel_done
+  // plus the whole gather cost.
   SimTime parallel_done = scatter_start_;
   for (SimTime f : frontier_) parallel_done = std::max(parallel_done, f);
-  // The CN pays the per-partial merge, plus a size-aware receive when the
-  // gathered state is row-shaped (joins and plain scans, unlike aggregates,
-  // gather row-sized state).
-  const SimTime per_slot_gather = cluster_->latency().cn_gather_service_us;
-  SimTime gather_cost = static_cast<SimTime>(n_) * per_slot_gather;
-  if (rows_gather) {
-    gather_cost +=
-        exchange::ExchangeServiceTime(stats_.result_bytes, 0, ExchangeParams());
+  const SimTime kb_us = ExchangeParams().kb_service_us;
+  auto kib = [](size_t b) { return static_cast<SimTime>((b + 1023) / 1024); };
+  SimTime cn_done = opts_.pipeline ? scatter_start_ : parallel_done;
+  SimTime first_merge = -1;
+  size_t cum = 0;
+  for (int i = 0; i < n_; ++i) {
+    const SimTime begin = std::max(cn_done, frontier_[static_cast<size_t>(i)]);
+    if (first_merge < 0) first_merge = begin;
+    cn_done = begin + cluster_->latency().cn_gather_service_us;
+    if (rows_gather) {
+      const size_t b = slot_result_bytes[static_cast<size_t>(i)];
+      cn_done += (kib(cum + b) - kib(cum)) * kb_us;
+      cum += b;
+    }
   }
-  SimTime cn_done;
-  if (opts_.pipeline) {
-    // Pipelined gather: the CN merges DN i's output the moment that DN is
-    // done (still in DN order — results are gathered identically), instead
-    // of waiting behind the slowest DN. Telescoped cumulative KiB keeps the
-    // total byte service equal to the barrier's one-lump charge, so only
-    // the start times change.
-    const SimTime kb_us = ExchangeParams().kb_service_us;
-    auto kib = [](size_t b) { return static_cast<SimTime>((b + 1023) / 1024); };
-    SimTime cursor = scatter_start_;
-    SimTime first_merge = -1;
-    size_t cum = 0;
-    for (int i = 0; i < n_; ++i) {
-      SimTime begin = std::max(cursor, frontier_[static_cast<size_t>(i)]);
-      if (first_merge < 0) first_merge = begin;
-      SimTime service = per_slot_gather;
-      if (rows_gather) {
-        size_t b = slot_result_bytes[static_cast<size_t>(i)];
-        service += (kib(cum + b) - kib(cum)) * kb_us;
-        cum += b;
-      }
-      cursor = begin + service;
-    }
-    cn_done = cursor;
-    if (first_merge >= 0) {
-      stats_.pipeline_overlap_us +=
-          std::max<SimTime>(0, parallel_done - first_merge);
-    }
-  } else {
-    cn_done = parallel_done + gather_cost;
+  if (first_merge >= 0) {
+    stats_.pipeline_overlap_us +=
+        std::max<SimTime>(0, parallel_done - first_merge);
   }
   stats_.sim_latency_us = cn_done - scatter_start_;
   // The CN resumes once the last partial has been gathered.
@@ -1022,12 +1004,10 @@ Status DistPlanExecutor::ExecScanFragment(const DistOp& scan, bool fused,
   // kernels over their chunk copy (pure kernels for global int64
   // aggregates, else filter + Gather + executor). Workers touch only read
   // paths plus their own slot; expression trees are cloned per worker
-  // because Bind() caches column indices in place. Morsel parallelism
-  // inside a shard is only enabled for inline scatters — pool workers must
-  // not nest ParallelFor.
-  storage::ScanOptions sopts;
-  sopts.parallel = opts_.columnar_morsel_parallel && !opts_.parallel;
-  sopts.pool = opts_.pool;
+  // because Bind() caches column indices in place. Kernels run serially
+  // within a shard: the scatter already runs one task per DN, and pool
+  // workers must not nest ParallelFor.
+  const storage::ScanOptions sopts;
   std::vector<FragSlot>& slots = *slots_out;
   auto run_shard = [&](int i) {
     const int dn = serving_[i];
@@ -1231,7 +1211,7 @@ Status DistPlanExecutor::ExecScanFragment(const DistOp& scan, bool fused,
     slot.table = Table(shard_tables[static_cast<size_t>(i)]->schema(),
                        std::move(*rows));
   };
-  RunScatter(opts_.parallel, opts_.pool, n_, run_shard);
+  RunScatter(opts_.parallel, n_, run_shard);
 
   // Deferred latency. Columnar shards: fixed setup + per-chunk service for
   // chunks actually scanned + per-block service for delta-tail records
@@ -1379,7 +1359,7 @@ Status DistPlanExecutor::ExecIndexScanFragment(const DistOp& scan, bool fused,
     slot.table = Table(shard_tables[static_cast<size_t>(i)]->schema(),
                        std::move(probed));
   };
-  RunScatter(opts_.parallel, opts_.pool, n_, run_shard);
+  RunScatter(opts_.parallel, n_, run_shard);
 
   // Deferred probe charge: fixed probe setup + per-returned-row copy-out.
   // No heap walk, no per-block scan service — this asymmetry is the whole
@@ -1470,14 +1450,41 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
   exchange::ExchangeNetwork right_net(n_, batch_rows_, opts_.max_channel_bytes,
                                       spill_cfg);
   std::vector<Status> send_status(serving_.size(), Status::OK());
-  // Pipelined bookkeeping. send_logs[i] records producer i's flushed batches
-  // in send order (net 0 = left relation, 1 = right) for the deterministic
-  // latency replay; streamed[j] counts the batches consumer j popped through
-  // the blocking path. Each worker writes only its own entry.
-  std::vector<std::vector<exchange::PipelinedSendRec>> send_logs(
-      serving_.size());
+  // send_logs[i] records producer i's flushed batches in send order (net 0
+  // = left relation, 1 = right) for the deterministic latency replay;
+  // streamed[j] counts the batches consumer j drained while producers ran
+  // (pipelined schedule only). Each worker writes only its own entry.
+  std::vector<std::vector<exchange::SentBatch>> send_logs(serving_.size());
   std::vector<size_t> streamed(serving_.size(), 0);
-  constexpr int64_t kPipelinePopTimeoutMs = 60'000;
+  constexpr int64_t kPopTimeoutMs = 60'000;
+
+  // Producer i streams its side(s) into the exchange, then closes every
+  // channel it owns on both nets, success or failure: blocked consumers
+  // wake immediately, and an error status fails them fast instead of
+  // letting them time out.
+  auto produce = [&](int i) {
+    const auto& left_rows = left_slots[static_cast<size_t>(i)].table.rows();
+    const auto& right_rows = right_slots[static_cast<size_t>(i)].table.rows();
+    std::vector<exchange::SentBatch>* log = &send_logs[static_cast<size_t>(i)];
+    Status st;
+    if (strategy == JoinStrategy::kBroadcast) {
+      st = stats_.broadcast_left
+               ? exchange::ScatterRows(&left_net, i, left_rows, std::nullopt,
+                                       0, log)
+               : exchange::ScatterRows(&right_net, i, right_rows,
+                                       std::nullopt, 1, log);
+    } else {
+      st = exchange::ScatterRows(&left_net, i, left_rows, left_key_idx_, 0,
+                                 log);
+      if (st.ok()) {
+        st = exchange::ScatterRows(&right_net, i, right_rows, right_key_idx_,
+                                   1, log);
+      }
+    }
+    send_status[static_cast<size_t>(i)] = st;
+    left_net.CloseAllFrom(i, st);
+    right_net.CloseAllFrom(i, st);
+  };
 
   // Per-DN join (+ fused partial aggregation): each DN assembles its slice
   // (local rows for the side that did not move, exchange-delivered rows for
@@ -1488,7 +1495,7 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
   // is bit-identical and the overflow only costs simulated spill I/O.
   exchange::ExchangeSpillConfig build_cfg{opts_.spill_dir, &spill_budget};
   std::vector<FragSlot>& slots = *slots_out;
-  auto consume_at = [&](int j, bool wait) {
+  auto consume = [&](int j) {
     FragSlot& slot = slots[static_cast<size_t>(j)];
     auto side_rows = [&](bool is_left) -> Result<std::vector<Row>> {
       const bool moved = strategy == JoinStrategy::kRepartition ||
@@ -1497,14 +1504,12 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
         return std::move((is_left ? left_slots : right_slots)[
             static_cast<size_t>(j)].table.mutable_rows());
       }
-      if (wait) {
-        // Pipelined: block until each batch (or the producer's close)
-        // arrives, so decoding overlaps the still-running scatters.
-        return (is_left ? left_net : right_net)
-            .ReceiveRowsWait(j, kPipelinePopTimeoutMs,
-                             &streamed[static_cast<size_t>(j)]);
-      }
-      return (is_left ? left_net : right_net).ReceiveRows(j);
+      // Blocks until each batch (or the producer's close) arrives; under
+      // the barrier schedule every producer has closed and it never waits.
+      return (is_left ? left_net : right_net)
+          .ReceiveRowsWait(j, kPopTimeoutMs,
+                           opts_.pipeline ? &streamed[static_cast<size_t>(j)]
+                                          : nullptr);
     };
     auto spool_build = [&](std::vector<Row>* rows) -> Status {
       if (opts_.max_build_bytes == 0 ||
@@ -1586,134 +1591,61 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
     }
   };
 
-  if (!opts_.pipeline) {
-    // Barrier mode: every producer fully scatters, then every consumer
-    // joins. The scatter and join phases each fan out on the shared pool.
-    if (strategy == JoinStrategy::kBroadcast) {
-      RunScatter(opts_.parallel, opts_.pool, n_, [&](int i) {
-        if (stats_.broadcast_left) {
-          send_status[static_cast<size_t>(i)] = exchange::BroadcastRows(
-              &left_net, i, left_slots[static_cast<size_t>(i)].table.rows());
-        } else {
-          send_status[static_cast<size_t>(i)] = exchange::BroadcastRows(
-              &right_net, i, right_slots[static_cast<size_t>(i)].table.rows());
-        }
-      });
-    } else {
-      RunScatter(opts_.parallel, opts_.pool, n_, [&](int i) {
-        Status st = exchange::ShufflePartition(
-            &left_net, i, left_slots[static_cast<size_t>(i)].table.rows(),
-            left_key_idx_);
-        if (st.ok()) {
-          st = exchange::ShufflePartition(
-              &right_net, i, right_slots[static_cast<size_t>(i)].table.rows(),
-              right_key_idx_);
-        }
-        send_status[static_cast<size_t>(i)] = st;
-      });
-    }
-    emit_exchange_failures();
-    for (const auto& st : send_status) OFI_RETURN_NOT_OK(st);
-    RunScatter(opts_.parallel, opts_.pool, n_,
-               [&](int j) { consume_at(j, /*wait=*/false); });
-  } else {
-    // Pipelined mode: all N producers and all N consumers run together on
-    // a dedicated pool so DistHashJoin's probe assembly starts while the
+  if (opts_.pipeline) {
+    // Pipelined schedule: all N producers and all N consumers run together
+    // on a dedicated pool so DistHashJoin's probe assembly starts while the
     // upstream scatters are still streaming batches. The pool has one
     // thread per fragment (2N): fewer could park a producer behind
-    // consumers blocked in PopBatchWait. The shared fixed-size pool
-    // is deliberately not used — its workers must never block on each
-    // other (ParallelFor must not nest), and these consumers block by
-    // design.
+    // consumers blocked in PopBatchWait. The shared fixed-size pool is
+    // deliberately not used — its workers must never block on each other
+    // (ParallelFor must not nest), and these consumers block by design.
     common::ThreadPool pipe_pool(2 * n_);
     std::latch all_done(static_cast<std::ptrdiff_t>(2 * n_));
     for (int i = 0; i < n_; ++i) {
       pipe_pool.Submit([&, i] {
-        auto scatter_side = [&](exchange::ExchangeNetwork* net, int net_idx,
-                                const std::vector<Row>& rows,
-                                std::optional<size_t> key) -> Status {
-          exchange::ScatterGuard guard(net, i);
-          exchange::StreamingScatter scatter(net, i, key);
-          for (const Row& row : rows) OFI_RETURN_NOT_OK(scatter.Push(row));
-          OFI_RETURN_NOT_OK(scatter.Finish());
-          guard.Commit();
-          for (const auto& rec : scatter.send_log()) {
-            send_logs[static_cast<size_t>(i)].push_back(
-                exchange::PipelinedSendRec{net_idx, rec.dst, rec.bytes});
-          }
-          return Status::OK();
-        };
-        Status st;
-        if (strategy == JoinStrategy::kBroadcast) {
-          st = stats_.broadcast_left
-                   ? scatter_side(
-                         &left_net, 0,
-                         left_slots[static_cast<size_t>(i)].table.rows(),
-                         std::nullopt)
-                   : scatter_side(
-                         &right_net, 1,
-                         right_slots[static_cast<size_t>(i)].table.rows(),
-                         std::nullopt);
-        } else {
-          st = scatter_side(&left_net, 0,
-                            left_slots[static_cast<size_t>(i)].table.rows(),
-                            left_key_idx_);
-          if (st.ok()) {
-            st = scatter_side(&right_net, 1,
-                              right_slots[static_cast<size_t>(i)].table.rows(),
-                              right_key_idx_);
-          }
-        }
-        send_status[static_cast<size_t>(i)] = st;
-        // Success or failure, close every channel this producer owns on
-        // both nets: blocked consumers wake immediately, and an error
-        // status fails them fast instead of letting them time out.
-        left_net.CloseAllFrom(i, st);
-        right_net.CloseAllFrom(i, st);
+        produce(i);
         all_done.count_down();
       });
     }
     for (int j = 0; j < n_; ++j) {
       pipe_pool.Submit([&, j] {
-        consume_at(j, /*wait=*/true);
+        consume(j);
         all_done.count_down();
       });
     }
     all_done.wait();
-    emit_exchange_failures();
-    for (const auto& st : send_status) OFI_RETURN_NOT_OK(st);
+  } else {
+    // Barrier schedule: every producer scatters and closes, then every
+    // consumer drains and joins. Each phase fans out on the shared pool.
+    RunScatter(opts_.parallel, n_, produce);
+    RunScatter(opts_.parallel, n_, consume);
   }
+  emit_exchange_failures();
+  for (const auto& st : send_status) OFI_RETURN_NOT_OK(st);
 
   // Simulated latency: sends start when a node's scans are done; node j can
-  // join once the slowest sender shipping to it has finished (+1 hop) and
-  // its own decode service completes; then one join statement per DN. The
-  // fused partial aggregate rides in that same statement (scan+agg was one
-  // statement on the aggregate path too). The pipelined replay instead
-  // charges per-batch: consumer decodes start at max(consumer cursor, batch
-  // availability + hop), which is where the overlap win shows up.
+  // join once the replay of the schedule that ran has decoded its input
+  // (barrier: after the slowest sender shipping to it +1 hop; pipelined:
+  // each batch as it lands, which is where the overlap win shows up); then
+  // one join statement per DN. The fused partial aggregate rides in that
+  // same statement (scan+agg was one statement on the aggregate path too).
   exchange::ExchangeLatencyParams params = ExchangeParams();
   std::vector<int> resources(serving_.size());
   for (int i = 0; i < n_; ++i) {
     resources[static_cast<size_t>(i)] = cluster_->dn_resource(serving_[i]);
   }
-  std::vector<SimTime> exchange_done;
-  if (opts_.pipeline) {
-    exchange::PipelinedSimResult sim = exchange::SimulatePipelinedExchange(
-        &cluster_->scheduler(), resources, {&left_net, &right_net}, send_logs,
-        frontier_, params);
-    exchange_done = std::move(sim.ready);
-    stats_.pipeline_overlap_us += sim.overlap_us;
-    for (size_t c : streamed) stats_.batches_streamed += c;
-  } else {
-    exchange_done = exchange::SimulateExchange(&cluster_->scheduler(),
-                                               resources,
-                                               {&left_net, &right_net},
-                                               frontier_, params);
-  }
+  const exchange::ExchangeSimResult sim = exchange::SimulateExchange(
+      &cluster_->scheduler(), resources,
+      {left_net.max_channel_bytes(), right_net.max_channel_bytes()}, send_logs,
+      frontier_, params,
+      opts_.pipeline ? exchange::ExchangeSchedule::kPipelined
+                     : exchange::ExchangeSchedule::kBarrier);
+  stats_.pipeline_overlap_us += sim.overlap_us;
+  for (size_t c : streamed) stats_.batches_streamed += c;
   for (int j = 0; j < n_; ++j) {
     // A spooled build partition pays its disk write + read on the owning
     // DN before the join statement can start.
-    SimTime arrival = exchange_done[static_cast<size_t>(j)];
+    SimTime arrival = sim.ready[static_cast<size_t>(j)];
     size_t build_spill = slots[static_cast<size_t>(j)].build_spill_bytes;
     if (build_spill > 0) {
       arrival = cluster_->scheduler().Charge(
@@ -1738,9 +1670,11 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
           : 0;
   stats_.exchange_batches =
       left_net.CrossNodeBatches() + right_net.CrossNodeBatches();
-  stats_.spill_bytes = left_net.SpilledBytes() + right_net.SpilledBytes();
-  stats_.spill_segments =
-      left_net.SpillSegments() + right_net.SpillSegments();
+  // Spill as the replay modeled and charged it: equal to the channel
+  // counters under the barrier schedule, and deterministic under the
+  // pipelined one, where the real counters race the consumer threads.
+  stats_.spill_bytes = sim.spill_bytes;
+  stats_.spill_segments = sim.spill_segments;
   for (const auto& slot : slots) {
     stats_.build_spill_bytes += slot.build_spill_bytes;
   }

@@ -39,7 +39,6 @@
 
 #include "cluster/cluster.h"
 #include "cluster/exchange/exchange.h"
-#include "common/thread_pool.h"
 #include "optimizer/stats.h"
 #include "sql/plan.h"
 
@@ -174,22 +173,17 @@ DistOpPtr MakeGather(DistOpPtr child, bool gather_rows);
 
 /// Knobs for executing a distributed physical plan.
 struct DistExecOptions {
-  /// Run per-DN fragments on the shared thread pool. When false the scatter
-  /// executes inline on the caller thread. Results and simulated latencies
-  /// are identical either way — partials are always merged in DN order.
+  /// Run per-DN fragments on common::ThreadPool::Shared(). When false the
+  /// scatter executes inline on the caller thread. Results and simulated
+  /// latencies are identical either way — partials are always merged in DN
+  /// order.
   bool parallel = true;
   /// Let LowerSelectPlan choose a DistIndexScan when a predicate binds an
   /// indexed column and stats predict it is cheaper than the scan. Off =
   /// always scan (the sql_shell --no-index escape hatch); execution of an
   /// already-lowered index plan is unaffected.
   bool use_index = true;
-  /// Pool override; nullptr uses common::ThreadPool::Shared().
-  common::ThreadPool* pool = nullptr;
   bool use_columnar = true;
-  /// Morsel-parallel columnar shard scans. Only valid with parallel ==
-  /// false (pool workers must not nest ParallelFor); the combination with
-  /// parallel == true is rejected with InvalidArgument.
-  bool columnar_morsel_parallel = false;
   /// Rows per serialized exchange batch.
   size_t batch_rows = 64;
   /// Per-exchange-channel in-memory queued-byte cap; 0 = unbounded. A Send
@@ -219,14 +213,16 @@ struct DistExecOptions {
   /// aggregate) path even when the fused aggregate is kernel-eligible —
   /// isolates kernel-vs-materialize cost on identical data and plans.
   bool columnar_force_materialize = false;
-  /// Pipelined fragment execution: producers stream batches into the
-  /// exchange as each partition fills (StreamingScatter) while consumers
-  /// drain concurrently with blocking pops, so the join probe / final merge
-  /// starts before the slowest producer finishes. Results are bit-identical
-  /// to barrier execution; only simulated latency changes (per-batch
-  /// overlap-aware accounting, see SimulatePipelinedExchange). The pipelined
-  /// tasks run on a dedicated pool of 2×(serving DNs) threads, so every
-  /// blocking consumer can coexist with every producer.
+  /// The exchange schedule. Producers always stream batches into the
+  /// exchange as each partition fills (StreamingScatter) and consumers
+  /// always drain with blocking pops; this picks when consumers may start.
+  /// false (barrier): every producer closes, then every consumer runs.
+  /// true (pipelined): consumers drain concurrently, so the join probe /
+  /// final merge starts before the slowest producer finishes; the tasks run
+  /// on a dedicated pool of 2×(serving DNs) threads, so every blocking
+  /// consumer can coexist with every producer. Results are bit-identical;
+  /// only simulated latency changes (exchange::SimulateExchange replays the
+  /// schedule that ran, and the CN gather merges each DN as it finishes).
   bool pipeline = false;
 };
 
@@ -269,7 +265,8 @@ struct DistExecStats {
   size_t result_bytes = 0;
   size_t exchange_batches = 0;
   /// Exchange payload spilled to temp files by capped channels (loopback
-  /// included — the disk I/O is real even for the local partition).
+  /// included — the disk I/O is real even for the local partition), as the
+  /// latency replay modeled and charged it (exchange::SimulateExchange).
   size_t spill_bytes = 0;
   size_t spill_segments = 0;
   /// Join build partitions spooled to disk under max_build_bytes, summed
@@ -278,8 +275,8 @@ struct DistExecStats {
   /// Per-(src DN, dst DN) byte/batch accounting, loopback included.
   std::vector<exchange::ChannelStats> channels;
   // Pipelined-execution accounting (DistExecOptions::pipeline).
-  /// Batches consumers drained through the blocking pipelined path
-  /// (loopback included).
+  /// Batches consumers drained under the pipelined schedule (loopback
+  /// included); 0 under barrier.
   size_t batches_streamed = 0;
   /// Simulated consumer/producer overlap: summed over consumers (and the
   /// CN gather), the time spent decoding/merging before the last producer

@@ -519,34 +519,6 @@ void ExchangeChannel::RollbackTo(const Checkpoint& cp) {
 
 // --- ExchangeNetwork ---------------------------------------------------------
 
-Status ExchangeNetwork::SendRows(int src, int dst,
-                                 const std::vector<Row>& rows) {
-  ExchangeChannel& ch = channel(src, dst);
-  const ExchangeChannel::SendLimits limits = send_limits();
-  for (size_t begin = 0; begin < rows.size(); begin += batch_rows_) {
-    size_t end = std::min(begin + batch_rows_, rows.size());
-    OFI_RETURN_NOT_OK(ch.Send(EncodeBatch(rows, begin, end), limits));
-  }
-  return Status::OK();
-}
-
-Result<std::vector<Row>> ExchangeNetwork::ReceiveRows(int dst) {
-  std::vector<Row> out;
-  for (int src = 0; src < n_; ++src) {
-    ExchangeChannel& ch = channel(src, dst);
-    // Stream one batch at a time: the full channel payload never has to be
-    // resident — the memory window drains first, then spill segments are
-    // read back in send order.
-    while (true) {
-      OFI_ASSIGN_OR_RETURN(std::optional<std::string> batch, ch.PopBatch());
-      if (!batch.has_value()) break;
-      OFI_ASSIGN_OR_RETURN(std::vector<Row> rows, DecodeBatch(*batch));
-      for (auto& r : rows) out.push_back(std::move(r));
-    }
-  }
-  return out;
-}
-
 Result<std::vector<Row>> ExchangeNetwork::ReceiveRowsWait(
     int dst, int64_t timeout_ms, size_t* batches_out) {
   std::vector<Row> out;
@@ -609,26 +581,10 @@ size_t ExchangeNetwork::OutBytes(int src) const {
   return n;
 }
 
-size_t ExchangeNetwork::OutBatches(int src) const {
-  size_t n = 0;
-  for (int dst = 0; dst < n_; ++dst) {
-    if (dst != src) n += channel(src, dst).batches();
-  }
-  return n;
-}
-
 size_t ExchangeNetwork::InBytes(int dst) const {
   size_t n = 0;
   for (int src = 0; src < n_; ++src) {
     if (src != dst) n += channel(src, dst).bytes();
-  }
-  return n;
-}
-
-size_t ExchangeNetwork::InBatches(int dst) const {
-  size_t n = 0;
-  for (int src = 0; src < n_; ++src) {
-    if (src != dst) n += channel(src, dst).batches();
   }
   return n;
 }
@@ -712,30 +668,17 @@ Status StreamingScatter::FlushDst(int dst) {
   return Status::OK();
 }
 
-Status ShufflePartition(ExchangeNetwork* net, int src,
-                        const std::vector<Row>& rows, size_t key_idx) {
-  const int n = net->num_nodes();
-  std::vector<std::vector<Row>> parts(static_cast<size_t>(n));
-  for (const auto& row : rows) {
-    int dst = static_cast<int>(HashForPartition(row[key_idx]) %
-                               static_cast<uint64_t>(n));
-    parts[static_cast<size_t>(dst)].push_back(row);
-  }
+Status ScatterRows(ExchangeNetwork* net, int src, const std::vector<Row>& rows,
+                   std::optional<size_t> key_idx, int net_idx,
+                   std::vector<SentBatch>* log) {
   ScatterGuard guard(net, src);
-  for (int dst = 0; dst < n; ++dst) {
-    OFI_RETURN_NOT_OK(net->SendRows(src, dst, parts[static_cast<size_t>(dst)]));
-  }
+  StreamingScatter scatter(net, src, key_idx);
+  for (const Row& row : rows) OFI_RETURN_NOT_OK(scatter.Push(row));
+  OFI_RETURN_NOT_OK(scatter.Finish());
   guard.Commit();
-  return Status::OK();
-}
-
-Status BroadcastRows(ExchangeNetwork* net, int src,
-                     const std::vector<Row>& rows) {
-  ScatterGuard guard(net, src);
-  for (int dst = 0; dst < net->num_nodes(); ++dst) {
-    OFI_RETURN_NOT_OK(net->SendRows(src, dst, rows));
+  for (const auto& rec : scatter.send_log()) {
+    log->push_back(SentBatch{net_idx, rec.dst, rec.bytes});
   }
-  guard.Commit();
   return Status::OK();
 }
 
@@ -752,123 +695,89 @@ SimTime SpillServiceTime(size_t bytes, const ExchangeLatencyParams& p) {
   return kib * (p.spill_write_kb_us + p.spill_read_kb_us);
 }
 
-std::vector<SimTime> SimulateExchange(
+ExchangeSimResult SimulateExchange(
     SimScheduler* scheduler, const std::vector<int>& node_resources,
-    const std::vector<const ExchangeNetwork*>& nets,
-    const std::vector<SimTime>& start, const ExchangeLatencyParams& p) {
-  const int n = static_cast<int>(node_resources.size());
-
-  // Senders: each node serializes its whole cross-node outgoing traffic on
-  // its own serialized resource, starting when its scan completed.
-  std::vector<SimTime> send_done(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    size_t bytes = 0, batches = 0;
-    for (const auto* net : nets) {
-      bytes += net->OutBytes(i);
-      batches += net->OutBatches(i);
-    }
-    SimTime service = ExchangeServiceTime(bytes, batches, p);
-    send_done[i] =
-        service == 0
-            ? start[i]
-            : scheduler->Charge(node_resources[i], start[i], service);
-  }
-
-  // Receivers: node j can decode once the slowest sender shipping to it has
-  // finished, plus one network hop (max-over-senders, not a chained sum).
-  std::vector<SimTime> done(static_cast<size_t>(n));
-  for (int j = 0; j < n; ++j) {
-    SimTime arrival = std::max(start[j], send_done[j]);
-    size_t bytes = 0, batches = 0;
-    bool any_in = false;
-    for (int i = 0; i < n; ++i) {
-      if (i == j) continue;
-      size_t b = 0;
-      for (const auto* net : nets) b += net->channel(i, j).batches();
-      if (b == 0) continue;
-      any_in = true;
-      arrival = std::max(arrival, send_done[i] + p.network_hop_us);
-    }
-    for (const auto* net : nets) {
-      bytes += net->InBytes(j);
-      batches += net->InBatches(j);
-    }
-    SimTime service = any_in ? ExchangeServiceTime(bytes, batches, p) : 0;
-    // Spilled bytes entering j pay a disk write + read on j's resource —
-    // loopback included, since the spill file is real even when the network
-    // hop is not.
-    size_t spilled_in = 0;
-    for (const auto* net : nets) spilled_in += net->SpilledInBytes(j);
-    service += SpillServiceTime(spilled_in, p);
-    done[j] = service == 0
-                  ? arrival
-                  : scheduler->Charge(node_resources[j], arrival, service);
-  }
-  return done;
-}
-
-PipelinedSimResult SimulatePipelinedExchange(
-    SimScheduler* scheduler, const std::vector<int>& node_resources,
-    const std::vector<const ExchangeNetwork*>& nets,
-    const std::vector<std::vector<PipelinedSendRec>>& send_logs,
-    const std::vector<SimTime>& start, const ExchangeLatencyParams& p) {
-  const int n = static_cast<int>(node_resources.size());
-  const int nk = static_cast<int>(nets.size());
-  PipelinedSimResult out;
-  out.ready.assign(static_cast<size_t>(n), 0);
-  out.producer_done.assign(static_cast<size_t>(n), 0);
-  out.first_consume.assign(static_cast<size_t>(n), 0);
+    const std::vector<size_t>& channel_caps,
+    const std::vector<std::vector<SentBatch>>& send_logs,
+    const std::vector<SimTime>& start, const ExchangeLatencyParams& p,
+    ExchangeSchedule schedule) {
+  const bool pipelined = schedule == ExchangeSchedule::kPipelined;
+  const size_t n = node_resources.size();
+  const size_t nk = channel_caps.size();
+  ExchangeSimResult out;
+  out.ready.assign(n, 0);
+  out.producer_done.assign(n, 0);
+  out.first_consume.assign(n, 0);
 
   struct Batch {
     size_t bytes = 0;
-    SimTime avail = 0;  // producer finished encoding it
-    SimTime pop = 0;    // provisional consumer drain completion
+    SimTime sent = 0;  // producer finished encoding it
+    SimTime pop = 0;   // provisional consumer drain completion
   };
   // chan[net][src * n + dst], batches in send order.
   std::vector<std::vector<std::vector<Batch>>> chan(
-      static_cast<size_t>(nk),
-      std::vector<std::vector<Batch>>(static_cast<size_t>(n) * n));
-  auto kib = [](size_t b) { return static_cast<SimTime>((b + 1023) / 1024); };
+      nk, std::vector<std::vector<Batch>>(n * n));
+  // Per-batch encode/decode service with telescoped cumulative KiB: a
+  // node's per-batch charges add up to ExchangeServiceTime of its total.
+  auto service = [&p](size_t* cum, size_t bytes) {
+    auto kib = [](size_t b) {
+      return static_cast<SimTime>((b + 1023) / 1024);
+    };
+    SimTime s = p.batch_service_us +
+                (kib(*cum + bytes) - kib(*cum)) * p.kb_service_us;
+    *cum += bytes;
+    return s;
+  };
+  auto hop = [&p](size_t i, size_t j) { return i == j ? 0 : p.network_hop_us; };
 
-  // Producers: per-batch encode charges in send order, cross-node only (the
-  // barrier model charges nothing for loopback either). Cumulative-KiB
-  // telescoping makes the per-producer total equal ExchangeServiceTime over
-  // its whole cross-node output.
-  for (int i = 0; i < n; ++i) {
-    SimTime cursor = start[static_cast<size_t>(i)];
+  // Producers: per-batch encode charges in send order, cross-node only.
+  for (size_t i = 0; i < n; ++i) {
+    SimTime cursor = start[i];
     size_t cum = 0;
-    for (const PipelinedSendRec& rec : send_logs[static_cast<size_t>(i)]) {
-      if (rec.dst != i) {
-        SimTime service = p.batch_service_us +
-                          (kib(cum + rec.bytes) - kib(cum)) * p.kb_service_us;
-        cum += rec.bytes;
-        cursor = scheduler->Charge(node_resources[static_cast<size_t>(i)],
-                                   cursor, service);
+    for (const SentBatch& rec : send_logs[i]) {
+      const size_t dst = static_cast<size_t>(rec.dst);
+      if (dst != i) {
+        cursor = scheduler->Charge(node_resources[i], cursor,
+                                   service(&cum, rec.bytes));
       }
-      chan[static_cast<size_t>(rec.net)][static_cast<size_t>(i) * n + rec.dst]
-          .push_back(Batch{rec.bytes, cursor, 0});
+      chan[static_cast<size_t>(rec.net)][i * n + dst].push_back(
+          Batch{rec.bytes, cursor, 0});
     }
-    out.producer_done[static_cast<size_t>(i)] = cursor;
+    out.producer_done[i] = cursor;
   }
+
+  // The earliest instant consumer j may decode anything. Under the barrier
+  // schedule that is after its own scatter and after the slowest producer
+  // sending to it (+1 hop); the pipelined schedule gates per batch only.
+  std::vector<SimTime> gate(start.begin(), start.end());
+  if (!pipelined) {
+    for (size_t j = 0; j < n; ++j) {
+      gate[j] = std::max(gate[j], out.producer_done[j]);
+      for (size_t i = 0; i < n; ++i) {
+        bool sends = false;
+        for (size_t k = 0; k < nk; ++k) sends |= !chan[k][i * n + j].empty();
+        if (i != j && sends) {
+          gate[j] = std::max(gate[j], out.producer_done[i] + hop(i, j));
+        }
+      }
+    }
+  }
+  auto arrival = [&](const Batch& b, size_t i, size_t j) {
+    return std::max(gate[j], b.sent + hop(i, j));
+  };
 
   // Provisional drain times (plain arithmetic, no charges): each consumer
   // walks its deterministic drain order; a batch is popped at
-  // max(cursor, availability + hop) plus its decode service. Used only to
-  // model the in-memory window occupancy for the spill decision below.
-  for (int j = 0; j < n; ++j) {
-    SimTime cur = start[static_cast<size_t>(j)];
+  // max(cursor, arrival) plus its decode service. Used only to model the
+  // in-memory window occupancy for the spill decision below.
+  for (size_t j = 0; j < n; ++j) {
+    SimTime cur = gate[j];
     size_t cum = 0;
-    for (int k = 0; k < nk; ++k) {
-      for (int i = 0; i < n; ++i) {
-        for (Batch& b : chan[static_cast<size_t>(k)]
-                            [static_cast<size_t>(i) * n + j]) {
-          SimTime arrival = b.avail + (i == j ? 0 : p.network_hop_us);
-          cur = std::max(cur, arrival);
-          if (i != j) {
-            cur += p.batch_service_us +
-                   (kib(cum + b.bytes) - kib(cum)) * p.kb_service_us;
-            cum += b.bytes;
-          }
+    for (size_t k = 0; k < nk; ++k) {
+      for (size_t i = 0; i < n; ++i) {
+        for (Batch& b : chan[k][i * n + j]) {
+          cur = std::max(cur, arrival(b, i, j));
+          if (i != j) cur += service(&cum, b.bytes);
           b.pop = cur;
         }
       }
@@ -878,33 +787,34 @@ PipelinedSimResult SimulatePipelinedExchange(
   // Modeled spill: replay each capped channel's window in send order. A
   // batch spills when the in-memory window would overflow at its send time,
   // or an earlier spilled batch is still on disk then (FIFO: memory never
-  // overtakes disk). Deterministic, unlike the real spill counters, which
-  // depend on how far the consumer thread happened to lag the producer.
-  std::vector<size_t> spilled_in(static_cast<size_t>(n), 0);
-  for (int k = 0; k < nk; ++k) {
-    const size_t cap = nets[static_cast<size_t>(k)]->max_channel_bytes();
+  // overtakes disk). Under the barrier schedule nothing pops before every
+  // send is done, so the window only fills — exactly the channel's own
+  // counters. Under the pipelined one the model is deterministic, unlike
+  // the real counters, which depend on how far the consumer thread
+  // happened to lag the producer.
+  std::vector<size_t> spilled_in(n, 0);
+  for (size_t k = 0; k < nk; ++k) {
+    const size_t cap = channel_caps[k];
     if (cap == 0) continue;
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) {
-        auto& batches =
-            chan[static_cast<size_t>(k)][static_cast<size_t>(i) * n + j];
-        size_t mem = 0;   // window occupancy at the current send time
-        size_t lo = 0;    // first batch not yet provisionally popped
-        std::vector<bool> spilled(batches.size(), false);
-        SimTime last_spill_pop = -1;
-        for (size_t bi = 0; bi < batches.size(); ++bi) {
-          const Batch& b = batches[bi];
-          while (lo < bi && batches[lo].pop <= b.avail) {
-            if (!spilled[lo]) mem -= batches[lo].bytes;
-            ++lo;
-          }
-          if (last_spill_pop > b.avail || mem + b.bytes > cap) {
-            spilled[bi] = true;
-            spilled_in[static_cast<size_t>(j)] += b.bytes;
-            last_spill_pop = std::max(last_spill_pop, b.pop);
-          } else {
-            mem += b.bytes;
-          }
+    for (size_t c = 0; c < n * n; ++c) {
+      const std::vector<Batch>& batches = chan[k][c];
+      size_t mem = 0;  // window occupancy at the current send time
+      size_t lo = 0;   // first batch not yet provisionally popped
+      std::vector<bool> spilled(batches.size(), false);
+      SimTime last_spill_pop = -1;
+      for (size_t bi = 0; bi < batches.size(); ++bi) {
+        const Batch& b = batches[bi];
+        while (pipelined && lo < bi && batches[lo].pop <= b.sent) {
+          if (!spilled[lo]) mem -= batches[lo].bytes;
+          ++lo;
+        }
+        if (last_spill_pop > b.sent || mem + b.bytes > cap) {
+          spilled[bi] = true;
+          spilled_in[c % n] += b.bytes;
+          ++out.spill_segments;
+          last_spill_pop = std::max(last_spill_pop, b.pop);
+        } else {
+          mem += b.bytes;
         }
       }
     }
@@ -915,49 +825,41 @@ PipelinedSimResult SimulatePipelinedExchange(
   // overlap with itself), which is exactly why a skewed producer — not a
   // uniform one — is where pipelining wins.
   SimTime global_prod_end = 0;
-  for (int i = 0; i < n; ++i) {
-    global_prod_end =
-        std::max(global_prod_end, out.producer_done[static_cast<size_t>(i)]);
+  for (SimTime d : out.producer_done) {
+    global_prod_end = std::max(global_prod_end, d);
   }
-  for (int j = 0; j < n; ++j) {
-    SimTime cur = start[static_cast<size_t>(j)];
+  for (size_t j = 0; j < n; ++j) {
+    SimTime cur = gate[j];
     size_t cum = 0;
     SimTime first = -1;
-    for (int k = 0; k < nk; ++k) {
-      for (int i = 0; i < n; ++i) {
-        for (const Batch& b : chan[static_cast<size_t>(k)]
-                                  [static_cast<size_t>(i) * n + j]) {
-          SimTime arrival = b.avail + (i == j ? 0 : p.network_hop_us);
-          if (i == j) {
-            cur = std::max(cur, arrival);
-            continue;
-          }
-          SimTime service = p.batch_service_us +
-                            (kib(cum + b.bytes) - kib(cum)) * p.kb_service_us;
-          cum += b.bytes;
-          SimTime done = scheduler->Charge(node_resources[static_cast<size_t>(j)],
-                                           std::max(cur, arrival), service);
-          if (first < 0) first = done - service;
-          cur = done;
+    for (size_t k = 0; k < nk; ++k) {
+      for (size_t i = 0; i < n; ++i) {
+        for (const Batch& b : chan[k][i * n + j]) {
+          cur = std::max(cur, arrival(b, i, j));
+          if (i == j) continue;
+          const SimTime s = service(&cum, b.bytes);
+          cur = scheduler->Charge(node_resources[j], cur, s);
+          if (first < 0) first = cur - s;
         }
       }
     }
-    if (spilled_in[static_cast<size_t>(j)] > 0) {
-      cur = scheduler->Charge(node_resources[static_cast<size_t>(j)], cur,
-                              SpillServiceTime(spilled_in[static_cast<size_t>(j)], p));
-      out.modeled_spill_bytes += spilled_in[static_cast<size_t>(j)];
+    if (spilled_in[j] > 0) {
+      cur = scheduler->Charge(node_resources[j], cur,
+                              SpillServiceTime(spilled_in[j], p));
+      out.spill_bytes += spilled_in[j];
     }
-    // The consumer cannot finish draining a channel before observing its
-    // close, which the producer posts after its whole scatter.
-    for (int i = 0; i < n; ++i) {
-      cur = std::max(cur, out.producer_done[static_cast<size_t>(i)] +
-                              (i == j ? 0 : p.network_hop_us));
+    if (pipelined) {
+      // The consumer cannot finish draining a channel before observing its
+      // close, which the producer posts after its whole scatter.
+      for (size_t i = 0; i < n; ++i) {
+        cur = std::max(cur, out.producer_done[i] + hop(i, j));
+      }
+      if (first >= 0) {
+        out.overlap_us += std::max<SimTime>(0, global_prod_end - first);
+      }
     }
-    out.ready[static_cast<size_t>(j)] = cur;
-    out.first_consume[static_cast<size_t>(j)] = first >= 0 ? first : cur;
-    if (first >= 0) {
-      out.overlap_us += std::max<SimTime>(0, global_prod_end - first);
-    }
+    out.ready[j] = cur;
+    out.first_consume[j] = first >= 0 ? first : cur;
   }
   return out;
 }

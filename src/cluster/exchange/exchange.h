@@ -3,14 +3,14 @@
 /// between data nodes (paper Fig. 1: data nodes "exchange data on-demand and
 /// execute the query in parallel"). Before this layer the cluster could only
 /// scatter-gather aggregate — rows never crossed shards, so every join was
-/// single-node. The exchange provides the two classic MPP data-movement
+/// single-node. StreamingScatter provides the two classic MPP data-movement
 /// operators:
 ///
-/// * ShufflePartition — hash-repartition: every node splits its local rows
-///   by a hash of the join key and ships partition j to node j, so rows
-///   with equal keys meet on one node regardless of where they started.
-/// * BroadcastRows — every node ships its full local row set to every other
-///   node, so one (small) side of a join is complete everywhere.
+/// * hash-repartition: every node routes its local rows by a hash of the
+///   join key and ships partition j to node j, so rows with equal keys meet
+///   on one node regardless of where they started.
+/// * broadcast: every node ships its full local row set to every node, so
+///   one (small) side of a join is complete everywhere.
 ///
 /// Rows move as *serialized* batches through per-(src,dst) channels with
 /// byte/batch accounting, because bytes moved is the quantity MPP planners
@@ -30,14 +30,18 @@
 /// ResourceExhausted, and a capped channel with no spill config denies
 /// outright.
 ///
-/// The simulated latency model is consistent with the max-over-DNs scatter
-/// in cluster/distributed_plan.h: every node serializes+sends its outgoing
-/// traffic and decodes its incoming traffic as work on its own serialized
-/// resource (per-batch overhead + per-KiB payload cost, see LatencyModel),
-/// and the exchange completes on node j when the slowest contributing
-/// sender has finished plus one network hop — not the serial sum over
-/// nodes. Spilled bytes additionally charge a disk write + read per KiB on
-/// the receiving node's resource.
+/// There is one executor and one simulator. Producers always stream
+/// (StreamingScatter) and consumers always drain with blocking pops
+/// (ReceiveRowsWait); an ExchangeSchedule only decides when consumers may
+/// start — after every producer has closed (barrier) or alongside them
+/// (pipelined). SimulateExchange replays the producers' send logs under
+/// the same schedule: every node serializes its encode and decode work on
+/// its own resource (per-batch overhead + per-KiB payload cost, see
+/// LatencyModel), and under the barrier schedule node j starts decoding
+/// when the slowest sender shipping to it has finished plus one network
+/// hop — the max-over-DNs scatter of cluster/distributed_plan.h, not the
+/// serial sum over nodes. Spilled bytes additionally charge a disk write +
+/// read per KiB on the receiving node's resource.
 #pragma once
 
 #include <atomic>
@@ -196,7 +200,7 @@ class ExchangeChannel {
   };
 
   /// Snapshot of the send-side state, for rolling back a failed multi-
-  /// channel operator send (ShufflePartition / BroadcastRows). Every queued
+  /// channel scatter (see ScatterGuard). Every queued
   /// batch and spill segment carries the monotone send sequence number it
   /// was accepted under, so RollbackTo drops exactly the batches sent after
   /// the Mark — even when a concurrent consumer drained some of them in
@@ -225,7 +229,7 @@ class ExchangeChannel {
   /// that status — a consumer never sees a silently truncated stream.
   Result<std::optional<std::string>> PopBatch();
 
-  /// Blocking pop for pipelined consumers: waits (condition-variable
+  /// Blocking pop for consumers: waits (condition-variable
   /// wakeup on Send/Close — no spinning) until a batch is available, the
   /// channel is closed, or `timeout_ms` elapses. Returns the batch; nullopt
   /// on clean end-of-stream (closed with OK and fully drained); the close
@@ -359,7 +363,6 @@ class ExchangeNetwork {
   int num_nodes() const { return n_; }
   size_t batch_rows() const { return batch_rows_; }
   size_t max_channel_bytes() const { return max_channel_bytes_; }
-  const ExchangeSpillConfig& spill_config() const { return spill_; }
   ExchangeChannel::SendLimits send_limits() const {
     return ExchangeChannel::SendLimits{max_channel_bytes_, &spill_};
   }
@@ -371,26 +374,15 @@ class ExchangeNetwork {
     return channels_[static_cast<size_t>(src) * n_ + dst];
   }
 
-  /// Encodes `rows` into batches of at most batch_rows() and sends them
-  /// src -> dst. Safe to call concurrently for distinct `src`. Over-cap
-  /// batches spill to disk; fails with ResourceExhausted only without a
-  /// spill config or when the spill budget is exhausted.
-  Status SendRows(int src, int dst, const std::vector<sql::Row>& rows);
-
-  /// Streams and decodes everything addressed to `dst`, one batch at a
-  /// time, concatenated in source-node order then send order (deterministic
-  /// receive order, spilled or not). Consumed spill segments free their
-  /// budget; a channel's spill file is deleted the moment its last segment
-  /// is read.
-  Result<std::vector<sql::Row>> ReceiveRows(int dst);
-
-  /// Blocking variant for pipelined consumers: drains each source channel
-  /// with PopBatchWait until the producer closes it, in the same
-  /// deterministic source-node-then-send order as ReceiveRows — so the
-  /// decoded rows are bit-identical regardless of producer/consumer thread
-  /// interleaving. Fails with the producer's close status, or TimedOut when
-  /// a channel stays open past `timeout_ms`. `batches_out` (optional)
-  /// accumulates the number of batches streamed.
+  /// Streams and decodes everything addressed to `dst`: drains each source
+  /// channel with PopBatchWait until its producer closes it, concatenated
+  /// in source-node order then send order — so the decoded rows are
+  /// bit-identical regardless of producer/consumer thread interleaving,
+  /// spilled or not. Once every producer has closed it never waits.
+  /// Consumed spill segments free their budget; a channel's spill file is
+  /// deleted the moment its last segment is read. Fails with the producer's
+  /// close status, or TimedOut when a channel stays open past `timeout_ms`.
+  /// `batches_out` (optional) accumulates the number of batches drained.
   Result<std::vector<sql::Row>> ReceiveRowsWait(int dst, int64_t timeout_ms,
                                                 size_t* batches_out = nullptr);
 
@@ -406,9 +398,7 @@ class ExchangeNetwork {
   size_t CrossNodeBatches() const;
   /// Cross-node traffic leaving `src` / entering `dst`.
   size_t OutBytes(int src) const;
-  size_t OutBatches(int src) const;
   size_t InBytes(int dst) const;
-  size_t InBatches(int dst) const;
   /// Total payload denied across every channel (no spill config / budget).
   size_t DeniedBytes() const;
   /// Total payload spilled to disk across every channel (loopback included —
@@ -462,18 +452,21 @@ class ScatterGuard {
   std::vector<ExchangeChannel::Checkpoint> marks_;
 };
 
-/// \brief Incremental scatter for the pipelined executor: rows are routed
-/// one at a time and each destination's batch is flushed into its channel
-/// the moment batch_rows() have accumulated — consumers start decoding
-/// while the producer is still scanning, instead of after one scatter at
-/// the end. The per-channel batch boundaries and payload are bit-identical
-/// to ShufflePartition / BroadcastRows over the same rows (same relative
-/// row order per partition, same batch_rows framing), so downstream results
-/// cannot depend on which execution mode produced them.
+/// \brief The one exchange producer: rows are routed one at a time and each
+/// destination's batch is flushed into its channel the moment batch_rows()
+/// have accumulated, so a concurrent consumer can start decoding while the
+/// producer is still scanning. Hash-repartition routes a row to node
+/// HashForPartition(row[key_idx]) % num_nodes (rows with NULL keys are
+/// routed like any other value; an inner join drops them at the probe);
+/// broadcast sends every row to every node, the loopback copy included, so
+/// receivers assemble the full relation from channels alone. Per
+/// destination, batches hold at most batch_rows() rows in input order —
+/// the framing depends only on the rows, never on the schedule. Run it
+/// under a ScatterGuard so a failed scatter leaves no payload behind.
 ///
 /// Not thread-safe: one StreamingScatter per producer task. The send log
-/// records every flushed batch in producer send order for the deterministic
-/// post-hoc latency replay (SimulatePipelinedExchange).
+/// records every flushed batch in producer send order for the
+/// deterministic latency replay (SimulateExchange).
 class StreamingScatter {
  public:
   /// One flushed batch, in producer send order.
@@ -504,23 +497,36 @@ class StreamingScatter {
   std::vector<SendRec> log_;
 };
 
-/// Hash-repartition: splits `rows` by HashForPartition(row[key_idx]) %
-/// num_nodes and sends each partition from `src` to its owning node,
-/// preserving relative row order within each partition. Rows with NULL keys
-/// are routed like any other value (an inner join drops them at the probe).
-/// On failure (no spill config / spill budget) every batch this call already
-/// queued is rolled back, so a failed shuffle leaves the network's byte and
-/// batch accounting untouched (the payload is counted in AbortedBytes).
-Status ShufflePartition(ExchangeNetwork* net, int src,
-                        const std::vector<sql::Row>& rows, size_t key_idx);
+/// One batch in a producer's send order: which network (index into the
+/// replay's `channel_caps`), which destination, how many payload bytes.
+struct SentBatch {
+  int net = 0;
+  int dst = 0;
+  size_t bytes = 0;
+};
 
-/// Broadcast: sends every row from `src` to every node (including the
-/// loopback copy to itself, so receivers assemble the full relation from
-/// channels alone). Same rollback-on-failure contract as ShufflePartition.
-Status BroadcastRows(ExchangeNetwork* net, int src,
-                     const std::vector<sql::Row>& rows);
+/// The producer operator: streams `rows` out of node `src` through a
+/// StreamingScatter (hash-repartition on `key_idx`, broadcast when nullopt)
+/// under a ScatterGuard, so a failed scatter leaves no queued payload and
+/// no inflated accounting behind (the payload lands in AbortedBytes). On
+/// success appends every flushed batch to `log`, tagged `net_idx`. Does not
+/// close the channels: the caller closes them with the outcome.
+Status ScatterRows(ExchangeNetwork* net, int src,
+                   const std::vector<sql::Row>& rows,
+                   std::optional<size_t> key_idx, int net_idx,
+                   std::vector<SentBatch>* log);
 
 // --- Simulated latency -------------------------------------------------------
+
+/// When consumers may drain relative to producers. The join executor runs
+/// one and hands the same value to the replay, so the simulated schedule is
+/// the one that ran.
+enum class ExchangeSchedule {
+  /// Every producer closes before any consumer pops.
+  kBarrier,
+  /// Producers and consumers run together; consumers drain as batches land.
+  kPipelined,
+};
 
 /// Cost constants for one exchange step (taken from cluster::LatencyModel).
 struct ExchangeLatencyParams {
@@ -539,34 +545,10 @@ SimTime ExchangeServiceTime(size_t bytes, size_t batches,
 /// back (both halves are paid by the node that owns the spill file).
 SimTime SpillServiceTime(size_t bytes, const ExchangeLatencyParams& p);
 
-/// Charges one exchange step on the per-node serialized resources and
-/// returns, per node, the time its input rows are fully decoded and ready.
-/// Node i starts sending at start[i] (its scan completion); node j can start
-/// decoding once the slowest sender shipping to it has finished, plus one
-/// network hop — the max-over-senders structure that keeps the parallel
-/// exchange flat in N while a chained model grows linearly. Nodes with no
-/// cross-node input finish at max(start[j], own send completion). Spilled
-/// bytes entering node j (loopback included) additionally charge a disk
-/// write + read on j's resource. `nets` traffic is summed (a join
-/// repartitions two relations at once).
-std::vector<SimTime> SimulateExchange(
-    SimScheduler* scheduler, const std::vector<int>& node_resources,
-    const std::vector<const ExchangeNetwork*>& nets,
-    const std::vector<SimTime>& start, const ExchangeLatencyParams& p);
-
-/// One batch in a producer's send order, for the pipelined replay: which
-/// network (index into `nets`), which destination, how many payload bytes.
-struct PipelinedSendRec {
-  int net = 0;
-  int dst = 0;
-  size_t bytes = 0;
-};
-
-/// Result of the pipelined exchange replay (per node, indexes match
-/// node_resources).
-struct PipelinedSimResult {
-  /// Input fully decoded AND every producer observed closed — when the
-  /// consumer-side join/merge may start.
+/// Result of the exchange replay (per node, indexes match node_resources).
+struct ExchangeSimResult {
+  /// Input fully decoded (and spill paid): when the consumer-side
+  /// join/merge may start.
   std::vector<SimTime> ready;
   /// Producer i finished encoding its last batch (its scatter frontier).
   std::vector<SimTime> producer_done;
@@ -575,40 +557,47 @@ struct PipelinedSimResult {
   std::vector<SimTime> first_consume;
   /// Sum over consumers of (global producer completion - first_consume),
   /// clamped at 0: the simulated time consumers ran while producers were
-  /// still producing. 0 under the barrier model by construction.
+  /// still producing. 0 under the barrier schedule by construction.
   SimTime overlap_us = 0;
-  /// Deterministically *modeled* spill under the channel caps (see below);
-  /// the real spill counters stay on the channels but depend on thread
-  /// timing once consumers drain concurrently.
-  size_t modeled_spill_bytes = 0;
+  /// Payload and batches the modeled channel windows spilled (see below).
+  size_t spill_bytes = 0;
+  size_t spill_segments = 0;
 };
 
-/// Replays a pipelined exchange deterministically after the (racy) real
-/// execution, charging per-batch work instead of one lump per node:
+/// Replays an exchange deterministically after the (possibly racy) real
+/// execution, charging per-batch work on the per-node serialized resources:
 ///
 /// * Producer i charges each cross-node batch's encode cost sequentially on
 ///   its own resource from start[i]; the charge uses telescoped cumulative
-///   KiB so the total equals the barrier model's ExchangeServiceTime.
-///   Loopback batches charge nothing (as in the barrier model) but advance
-///   availability.
+///   KiB, so the total equals ExchangeServiceTime over its whole cross-node
+///   output. Loopback batches charge nothing but advance availability.
+/// * Availability at consumer j: under kPipelined a batch is available one
+///   network hop (none for loopback) after its encode; under kBarrier every
+///   batch bound for j is available once the last producer that sends to
+///   j has finished (+1 hop), and not before j's own start and scatter end.
+///   That is the max-over-senders structure that keeps the exchange flat
+///   in N while a chained model grows linearly.
 /// * Consumer j replays its deterministic drain order (net-major, then
 ///   source-node order, then send order); each cross-node batch's decode is
-///   charged at max(consumer cursor, batch availability + one network hop) —
-///   gap-fitting on j's own resource, so a node's encode and decode still
-///   serialize against each other (a DN cannot overlap with itself).
-/// * Channel caps are modeled (not measured): a batch spills iff the
+///   charged at max(consumer cursor, availability) — gap-fitting on j's own
+///   resource, so a node's encode and decode serialize against each other
+///   (a DN cannot overlap with itself).
+/// * Channel caps are modeled, not measured: a batch spills iff the
 ///   in-memory window would overflow at its send time given the replayed
-///   drain times, or an earlier spilled batch is still on disk (FIFO);
-///   modeled spilled bytes charge SpillServiceTime on the receiver, like
-///   the barrier model. This keeps simulated latency deterministic even
-///   though the real spill counters race with the consumer.
-/// * ready[j] additionally waits for every producer's close (+hop for
-///   remote producers): the real consumer cannot finish a channel before
-///   observing its close.
-PipelinedSimResult SimulatePipelinedExchange(
+///   drain times, or an earlier spilled batch is still on disk (FIFO).
+///   Under kBarrier nothing drains before every send is done, so the model
+///   equals the channel counters; under kPipelined the real counters race
+///   the consumer threads and the model is the deterministic figure.
+///   Spilled bytes entering j (loopback included) charge SpillServiceTime
+///   on j's resource after its decodes.
+/// * Under kPipelined ready[j] additionally waits for every producer's
+///   close (+hop for remote producers): the real consumer cannot finish a
+///   channel before observing its close.
+ExchangeSimResult SimulateExchange(
     SimScheduler* scheduler, const std::vector<int>& node_resources,
-    const std::vector<const ExchangeNetwork*>& nets,
-    const std::vector<std::vector<PipelinedSendRec>>& send_logs,
-    const std::vector<SimTime>& start, const ExchangeLatencyParams& p);
+    const std::vector<size_t>& channel_caps,
+    const std::vector<std::vector<SentBatch>>& send_logs,
+    const std::vector<SimTime>& start, const ExchangeLatencyParams& p,
+    ExchangeSchedule schedule);
 
 }  // namespace ofi::cluster::exchange

@@ -212,16 +212,15 @@ TEST_F(ColumnarMppTest, DropColumnarRestoresPureRowPath) {
   EXPECT_EQ(res->table.rows()[0][0].AsInt(), 400);
 }
 
-TEST_F(ColumnarMppTest, MorselParallelAndPoolScatterAllAgree) {
+TEST_F(ColumnarMppTest, InlineAndPoolScatterAllAgree) {
   auto filter = [] { return Expr::Gt("amount", Value(20)); };
   std::vector<DistributedAgg> aggs = {{AggFunc::kCount, "", "n"},
                                       {AggFunc::kSum, "amount", "s"}};
-  DistExecOptions inline_morsel;
-  inline_morsel.parallel = false;
-  inline_morsel.columnar_morsel_parallel = true;
+  DistExecOptions inline_scatter;
+  inline_scatter.parallel = false;
   cluster_.ResetSimTime();
   auto a = ExecuteDistPlan(&cluster_, AggPlan("sales", filter(), {}, aggs),
-                           inline_morsel);
+                           inline_scatter);
   cluster_.ResetSimTime();
   auto b = ExecuteDistPlan(&cluster_, AggPlan("sales", filter(), {}, aggs));
   auto c = ExecuteDistPlan(
@@ -233,7 +232,7 @@ TEST_F(ColumnarMppTest, MorselParallelAndPoolScatterAllAgree) {
   EXPECT_EQ(b->stats.columnar_shards, 4u);
   ExpectSameTable(a->table, b->table);
   ExpectSameTable(a->table, c->table);
-  // Chunk-order merge: morsel parallelism changes neither results nor the
+  // DN-order merge: scatter parallelism changes neither results nor the
   // scan counters nor the simulated latency.
   EXPECT_EQ(a->stats.scan_stats.chunks_scanned,
             b->stats.scan_stats.chunks_scanned);

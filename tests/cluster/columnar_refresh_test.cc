@@ -1,9 +1,7 @@
 /// Cluster::RefreshColumnar — synchronous force-merge of the columnar delta
 /// tails (only DNs with outstanding tail records or dead sealed rows do
-/// work; quiescent shards are untouched) — and the columnar_morsel_parallel
-/// footgun: combining it with a parallel scatter is now an InvalidArgument
-/// instead of a silent no-op. Columnar scans are fresh with or without a
-/// refresh; the merge only moves work off the scan path.
+/// work; quiescent shards are untouched). Columnar scans are fresh with or
+/// without a refresh; the merge only moves work off the scan path.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -120,31 +118,6 @@ TEST_F(ColumnarRefreshTest, RefreshUnregisteredTableIsNotFound) {
   cluster_.DropColumnar("sales");
   auto dropped = cluster_.RefreshColumnar("sales");
   EXPECT_FALSE(dropped.ok());
-}
-
-TEST_F(ColumnarRefreshTest, MorselParallelWithParallelScatterIsRejected) {
-  // Historically this combination silently disabled morsel parallelism;
-  // now it is a loud configuration error.
-  DistExecOptions opts;
-  opts.parallel = true;
-  opts.columnar_morsel_parallel = true;
-  auto res = ExecuteDistPlan(&cluster_, AggPlan("sales", nullptr, {},
-                                                {{AggFunc::kCount, "", "n"}}),
-                             opts);
-  ASSERT_FALSE(res.ok());
-  EXPECT_TRUE(res.status().IsInvalidArgument());
-
-  // The documented combination still works (the filter forces a real
-  // morsel-parallel kernel scan — an unfiltered COUNT(*) answers from
-  // metadata and touches no morsels).
-  opts.parallel = false;
-  auto ok = ExecuteDistPlan(&cluster_,
-                            AggPlan("sales", sql::Expr::Gt("amount", Value(0)),
-                                    {}, {{AggFunc::kCount, "", "n"}}),
-                            opts);
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok->table.rows()[0][0].AsInt(), 200);
-  EXPECT_GT(ok->stats.scan_stats.morsels, 0u);
 }
 
 }  // namespace

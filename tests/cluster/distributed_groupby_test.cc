@@ -3,8 +3,8 @@
 /// GROUP BY queries over columnar-registered sharded tables must return
 /// bit-identical rows (canonical ordering) to the single-node oracle —
 /// across NULL keys, dictionary-string keys, multi-column keys, empty
-/// shards, kernel vs forced-materialize vs row fallback, and morsel-
-/// parallel vs serial execution. Also pins every `columnar.fallback_*`
+/// shards, kernel vs forced-materialize vs row fallback, and inline vs
+/// pooled scatter. Also pins every `columnar.fallback_*`
 /// counter to its branch and the EXPLAIN surfacing. Runs under the tsan
 /// preset via scripts/check.sh.
 #include <algorithm>
@@ -15,7 +15,6 @@
 
 #include "cluster/distributed_sql.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "optimizer/sql_session.h"
 
 namespace ofi::cluster {
@@ -171,24 +170,21 @@ TEST_F(DistributedGroupByTest, EmptyShardsContributeNothing) {
   EXPECT_EQ(dist_.last().stats.columnar_shards, 4u);
 }
 
-TEST_F(DistributedGroupByTest, MorselParallelIsBitIdenticalToSerial) {
+TEST_F(DistributedGroupByTest, InlineScatterIsBitIdenticalToPooled) {
   CreateAndLoadSales(/*seed=*/37, /*rows=*/400);
   ASSERT_TRUE(dist_.RegisterColumnar("sales").ok());
   const std::string sql =
       "SELECT region, k, COUNT(*) AS n, SUM(amount) AS s, MIN(amount) AS lo "
       "FROM sales GROUP BY region, k";
-  auto serial = dist_.Execute(sql);
-  ASSERT_TRUE(serial.ok());
-  common::ThreadPool pool(4);
+  auto pooled = dist_.Execute(sql);
+  ASSERT_TRUE(pooled.ok());
   dist_.exec_options().parallel = false;
-  dist_.exec_options().columnar_morsel_parallel = true;
-  dist_.exec_options().pool = &pool;
   for (int round = 0; round < 3; ++round) {
-    auto parallel = dist_.Execute(sql);
-    ASSERT_TRUE(parallel.ok());
+    auto inline_run = dist_.Execute(sql);
+    ASSERT_TRUE(inline_run.ok());
     // Same partial tables per shard -> same gathered order -> identical
     // rows in identical order, not just as a set.
-    ExpectIdenticalTables(*serial, *parallel, sql);
+    ExpectIdenticalTables(*pooled, *inline_run, sql);
   }
 }
 

@@ -558,16 +558,6 @@ TEST(DistPlanShapeTest, MalformedPlansAreRejected) {
                            /*gather_rows=*/false));
   ASSERT_FALSE(lonely.ok());
   EXPECT_TRUE(lonely.status().IsInvalidArgument());
-
-  // The morsel footgun is rejected at the plan executor too.
-  DistExecOptions bad;
-  bad.parallel = true;
-  bad.columnar_morsel_parallel = true;
-  auto footgun = ExecuteDistPlan(
-      &cluster, MakeGather(MakeDistScan("t", nullptr), /*gather_rows=*/true),
-      bad);
-  ASSERT_FALSE(footgun.ok());
-  EXPECT_TRUE(footgun.status().IsInvalidArgument());
 }
 
 TEST(DistPlanShapeTest, PlainDistributedScanGathersRows) {

@@ -75,10 +75,10 @@ TEST(ExchangeLimitTest, ZeroLimitMeansUnbounded) {
   EXPECT_EQ(ch.queued_bytes(), 100000u);
 }
 
-TEST(ExchangeLimitTest, ExhaustedSpillBudgetNetworkSendRowsHonorsTheCap) {
+TEST(ExchangeLimitTest, ExhaustedSpillBudgetScatterHonorsTheCap) {
   // A cap smaller than one encoded batch and a spill budget smaller than
-  // one batch: every SendRows with data fails, DeniedBytes aggregates
-  // across channels, and the failed operator's rollback leaves no queued
+  // one batch: every scatter with data fails, DeniedBytes aggregates
+  // across channels, and the failed scatter's rollback leaves no queued
   // payload behind.
   exchange::SpillBudget budget(1);
   exchange::ExchangeSpillConfig cfg{"", &budget};
@@ -87,14 +87,19 @@ TEST(ExchangeLimitTest, ExhaustedSpillBudgetNetworkSendRowsHonorsTheCap) {
   std::vector<Row> rows;
   for (int64_t i = 0; i < 20; ++i) rows.push_back(MakeRow(i, "padpadpad"));
 
-  Status st = net.SendRows(0, 1, rows);
+  std::vector<exchange::SentBatch> log;
+  Status st = exchange::ScatterRows(&net, 0, rows, std::nullopt, 0, &log);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
   EXPECT_GT(net.DeniedBytes(), 0u);
-  EXPECT_TRUE(net.SendRows(0, 1, {}).ok());  // nothing to send, nothing denied
+  EXPECT_EQ(net.channel(0, 1).queued_bytes(), 0u);
+  // Nothing to send, nothing denied.
+  EXPECT_TRUE(exchange::ScatterRows(&net, 0, {}, std::nullopt, 0, &log).ok());
+  EXPECT_TRUE(log.empty());
 
   exchange::ExchangeNetwork roomy(2, /*batch_rows=*/8);
-  ASSERT_TRUE(roomy.SendRows(0, 1, rows).ok());
+  ASSERT_TRUE(
+      exchange::ScatterRows(&roomy, 0, rows, std::nullopt, 0, &log).ok());
   EXPECT_EQ(roomy.DeniedBytes(), 0u);
 }
 

@@ -2,9 +2,10 @@
 /// wakeup, fail-fast on producer error, TimedOut on deadline),
 /// Close(status) propagation, sequence-tagged rollback that stays correct
 /// when a consumer drained batches between the mark and the rollback (the
-/// producer-fails-mid-stream path), StreamingScatter's bit-identical
-/// framing vs the one-shot scatter operators, and the deterministic
-/// pipelined latency replay (consumer frontier starts before the skewed
+/// producer-fails-mid-stream path), StreamingScatter's framing (per
+/// destination, batches of at most batch_rows rows in input order, routed
+/// by HashForPartition), and the deterministic latency replay under both
+/// schedules (the pipelined consumer frontier starts before the skewed
 /// producer's frontier ends). The concurrent stress cases run under tsan
 /// in CI via the sanitizer focus list (scripts/check.sh).
 #include <gtest/gtest.h>
@@ -248,79 +249,110 @@ TEST(ExchangePipelineTest, ProducerFailsMidStreamWhileConsumerDrains) {
   fs::remove_all(dir);
 }
 
-// --- StreamingScatter framing equivalence -----------------------------------
+// --- StreamingScatter framing ----------------------------------------------
 
-std::vector<std::string> DrainAll(ExchangeNetwork* net, int src, int dst) {
-  std::vector<std::string> batches;
+/// Decodes every batch queued on src->dst, in order.
+std::vector<std::vector<Row>> DrainBatches(ExchangeNetwork* net, int src,
+                                           int dst) {
+  std::vector<std::vector<Row>> batches;
   while (true) {
     auto b = net->channel(src, dst).PopBatch();
     EXPECT_TRUE(b.ok());
-    if (!b->has_value()) break;
-    batches.push_back(std::move(**b));
+    if (!b.ok() || !b->has_value()) break;
+    auto rows = exchange::DecodeBatch(**b);
+    EXPECT_TRUE(rows.ok());
+    batches.push_back(std::move(*rows));
   }
   return batches;
 }
 
-TEST(ExchangePipelineTest, StreamingScatterMatchesShufflePartition) {
-  const std::vector<Row> rows = MakeRows(100, 11);
-  ExchangeNetwork one_shot(3, /*batch_rows=*/8);
-  ASSERT_TRUE(exchange::ShufflePartition(&one_shot, 0, rows, 0).ok());
+/// Asserts `batches` frame exactly `want`: full batches of `batch_rows`
+/// rows, then one partial tail, in input order.
+void ExpectFramed(const std::vector<std::vector<Row>>& batches,
+                  const std::vector<Row>& want, size_t batch_rows) {
+  std::vector<Row> got;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    if (b + 1 < batches.size()) {
+      EXPECT_EQ(batches[b].size(), batch_rows) << "batch " << b;
+    } else {
+      EXPECT_GE(batches[b].size(), 1u);
+      EXPECT_LE(batches[b].size(), batch_rows);
+    }
+    got.insert(got.end(), batches[b].begin(), batches[b].end());
+  }
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t r = 0; r < want.size(); ++r) {
+    ASSERT_EQ(got[r].size(), want[r].size()) << "row " << r;
+    for (size_t c = 0; c < want[r].size(); ++c) {
+      EXPECT_TRUE(got[r][c].Equals(want[r][c])) << "row " << r;
+    }
+  }
+}
 
-  ExchangeNetwork streamed(3, /*batch_rows=*/8);
-  exchange::StreamingScatter scatter(&streamed, 0, /*key_idx=*/0);
+TEST(ExchangePipelineTest, StreamingScatterFramesRepartitionByHash) {
+  const std::vector<Row> rows = MakeRows(100, 11);
+  ExchangeNetwork net(3, /*batch_rows=*/8);
+  exchange::StreamingScatter scatter(&net, 0, /*key_idx=*/0);
   for (const Row& row : rows) ASSERT_TRUE(scatter.Push(row).ok());
   ASSERT_TRUE(scatter.Finish().ok());
 
   size_t flushed_bytes = 0;
   for (const auto& rec : scatter.send_log()) flushed_bytes += rec.bytes;
-  EXPECT_EQ(flushed_bytes, one_shot.channel(0, 0).bytes() +
-                               one_shot.channel(0, 1).bytes() +
-                               one_shot.channel(0, 2).bytes());
+  EXPECT_EQ(flushed_bytes, net.channel(0, 0).bytes() +
+                               net.channel(0, 1).bytes() +
+                               net.channel(0, 2).bytes());
   for (int dst = 0; dst < 3; ++dst) {
-    // Same batch boundaries, same payload, same order — the execution mode
-    // cannot leak into downstream results.
-    EXPECT_EQ(DrainAll(&streamed, 0, dst), DrainAll(&one_shot, 0, dst))
-        << "dst " << dst;
+    std::vector<Row> want;
+    for (const Row& row : rows) {
+      const uint64_t part = exchange::HashForPartition(row[0]) % 3;
+      if (part == static_cast<uint64_t>(dst)) want.push_back(row);
+    }
+    ASSERT_FALSE(want.empty()) << "dst " << dst;
+    ExpectFramed(DrainBatches(&net, 0, dst), want, 8);
   }
 }
 
-TEST(ExchangePipelineTest, StreamingScatterMatchesBroadcastRows) {
+TEST(ExchangePipelineTest, StreamingScatterFramesBroadcastToEveryNode) {
   const std::vector<Row> rows = MakeRows(37, 5);
-  ExchangeNetwork one_shot(3, /*batch_rows=*/8);
-  ASSERT_TRUE(exchange::BroadcastRows(&one_shot, 1, rows).ok());
-
-  ExchangeNetwork streamed(3, /*batch_rows=*/8);
-  exchange::StreamingScatter scatter(&streamed, 1, /*key_idx=*/std::nullopt);
+  ExchangeNetwork net(3, /*batch_rows=*/8);
+  exchange::StreamingScatter scatter(&net, 1, /*key_idx=*/std::nullopt);
   for (const Row& row : rows) ASSERT_TRUE(scatter.Push(row).ok());
   ASSERT_TRUE(scatter.Finish().ok());
 
+  // ceil(37/8) = 5 batches to each node, the loopback copy included.
+  EXPECT_EQ(scatter.send_log().size(), 15u);
   for (int dst = 0; dst < 3; ++dst) {
-    EXPECT_EQ(DrainAll(&streamed, 1, dst), DrainAll(&one_shot, 1, dst))
-        << "dst " << dst;
+    ExpectFramed(DrainBatches(&net, 1, dst), rows, 8);
   }
 }
 
-TEST(ExchangePipelineTest, ReceiveRowsWaitMatchesReceiveRowsOrder) {
+TEST(ExchangePipelineTest, ReceiveRowsWaitIsSourceOrderThenSendOrder) {
   const std::vector<Row> rows = MakeRows(90, 13);
-  ExchangeNetwork a(3, /*batch_rows=*/8);
-  ExchangeNetwork b(3, /*batch_rows=*/8);
+  ExchangeNetwork net(3, /*batch_rows=*/8);
+  std::vector<exchange::SentBatch> log;
   for (int src = 0; src < 3; ++src) {
-    ASSERT_TRUE(exchange::ShufflePartition(&a, src, rows, 0).ok());
-    ASSERT_TRUE(exchange::ShufflePartition(&b, src, rows, 0).ok());
-    b.CloseAllFrom(src);
+    ASSERT_TRUE(exchange::ScatterRows(&net, src, rows, 0, 0, &log).ok());
+    net.CloseAllFrom(src);
   }
   for (int dst = 0; dst < 3; ++dst) {
-    auto plain = a.ReceiveRows(dst);
-    ASSERT_TRUE(plain.ok());
+    std::vector<Row> want;
+    for (int src = 0; src < 3; ++src) {
+      for (const Row& row : rows) {
+        if (exchange::HashForPartition(row[0]) % 3 ==
+            static_cast<uint64_t>(dst)) {
+          want.push_back(row);
+        }
+      }
+    }
     size_t streamed_batches = 0;
-    auto waited = b.ReceiveRowsWait(dst, /*timeout_ms=*/1000,
-                                    &streamed_batches);
+    auto waited = net.ReceiveRowsWait(dst, /*timeout_ms=*/1000,
+                                      &streamed_batches);
     ASSERT_TRUE(waited.ok());
-    ASSERT_EQ(plain->size(), waited->size());
-    for (size_t i = 0; i < plain->size(); ++i) {
-      EXPECT_EQ((*plain)[i].size(), (*waited)[i].size());
-      for (size_t c = 0; c < (*plain)[i].size(); ++c) {
-        EXPECT_EQ((*plain)[i][c].ToString(), (*waited)[i][c].ToString());
+    ASSERT_EQ(waited->size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ((*waited)[i].size(), want[i].size());
+      for (size_t c = 0; c < want[i].size(); ++c) {
+        EXPECT_EQ((*waited)[i][c].ToString(), want[i][c].ToString());
       }
     }
     EXPECT_GT(streamed_batches, 0u);
@@ -330,68 +362,63 @@ TEST(ExchangePipelineTest, ReceiveRowsWaitMatchesReceiveRowsOrder) {
 // --- Deterministic pipelined latency replay ---------------------------------
 
 /// Builds the skewed two-node traffic (node 0 ships `heavy` rows to node 1,
-/// node 1 ships a single light batch back) on a fresh network and returns
-/// the producer send logs, using the streaming scatter (hash keys: even ->
-/// node 0, odd -> node 1).
-std::vector<std::vector<exchange::PipelinedSendRec>> SkewedTraffic(
+/// node 1 ships a single light batch back) on `net` and returns the
+/// producer send logs (hash keys: even -> node 0, odd -> node 1).
+std::vector<std::vector<exchange::SentBatch>> SkewedTraffic(
     ExchangeNetwork* net, int heavy) {
-  std::vector<std::vector<exchange::PipelinedSendRec>> logs(2);
+  std::vector<std::vector<exchange::SentBatch>> logs(2);
   for (int src = 0; src < 2; ++src) {
-    exchange::StreamingScatter scatter(net, src, /*key_idx=*/0);
+    // Everything node 0 produces is odd-keyed (routes to node 1) and vice
+    // versa: maximal cross-traffic with one dominant producer.
+    std::vector<Row> rows;
     const int count = src == 0 ? heavy : 4;
     for (int i = 0; i < count; ++i) {
-      // Everything node 0 produces is odd-keyed (routes to node 1) and
-      // vice versa: maximal cross-traffic with one dominant producer.
-      EXPECT_TRUE(
-          scatter.Push(MakeRow(2 * i + (src == 0 ? 1 : 0),
-                               std::string(64, 'p'))).ok());
+      rows.push_back(MakeRow(2 * i + (src == 0 ? 1 : 0), std::string(64, 'p')));
     }
-    EXPECT_TRUE(scatter.Finish().ok());
-    for (const auto& rec : scatter.send_log()) {
-      logs[static_cast<size_t>(src)].push_back(
-          exchange::PipelinedSendRec{0, rec.dst, rec.bytes});
-    }
+    EXPECT_TRUE(exchange::ScatterRows(net, src, rows, 0, 0,
+                                      &logs[static_cast<size_t>(src)])
+                    .ok());
   }
   return logs;
 }
 
-TEST(ExchangePipelineTest, PipelinedReplayOverlapsSkewedProducer) {
-  exchange::ExchangeLatencyParams p;
-  const std::vector<SimTime> start = {0, 0};
-  const std::vector<int> resources = {0, 1};
-
-  ExchangeNetwork barrier_net(2, /*batch_rows=*/8);
-  auto barrier_logs = SkewedTraffic(&barrier_net, /*heavy=*/400);
-  SimScheduler barrier_sched;
-  barrier_sched.AddResource();
-  barrier_sched.AddResource();
-  std::vector<SimTime> barrier_done = exchange::SimulateExchange(
-      &barrier_sched, resources, {&barrier_net}, start, p);
-
-  ExchangeNetwork piped_net(2, /*batch_rows=*/8);
-  auto logs = SkewedTraffic(&piped_net, /*heavy=*/400);
+/// Replays `logs` on two fresh resources.
+exchange::ExchangeSimResult Replay(
+    const std::vector<std::vector<exchange::SentBatch>>& logs, size_t cap,
+    exchange::ExchangeSchedule schedule) {
   SimScheduler sched;
-  sched.AddResource();
-  sched.AddResource();
-  exchange::PipelinedSimResult sim = exchange::SimulatePipelinedExchange(
-      &sched, resources, {&piped_net}, logs, start, p);
+  const std::vector<int> resources = {sched.AddResource(), sched.AddResource()};
+  return exchange::SimulateExchange(&sched, resources, {cap}, logs, {0, 0},
+                                    exchange::ExchangeLatencyParams{},
+                                    schedule);
+}
+
+TEST(ExchangePipelineTest, PipelinedReplayOverlapsSkewedProducer) {
+  ExchangeNetwork net(2, /*batch_rows=*/8);
+  auto logs = SkewedTraffic(&net, /*heavy=*/400);
+  exchange::ExchangeSimResult barrier =
+      Replay(logs, 0, exchange::ExchangeSchedule::kBarrier);
+  exchange::ExchangeSimResult sim =
+      Replay(logs, 0, exchange::ExchangeSchedule::kPipelined);
 
   // The consumer frontier starts strictly before the slow producer's
-  // frontier ends — the overlap the barrier model forbids by construction.
+  // frontier ends — the overlap the barrier schedule forbids by
+  // construction.
   EXPECT_LT(sim.first_consume[1], sim.producer_done[0]);
   EXPECT_GT(sim.overlap_us, 0);
+  EXPECT_GE(barrier.first_consume[1], barrier.producer_done[0]);
+  EXPECT_EQ(barrier.overlap_us, 0);
+  // Both schedules encode the same batches with the same charges.
+  EXPECT_EQ(barrier.producer_done, sim.producer_done);
   // And the overlap translates into lower end-to-end readiness than the
   // barrier replay of the identical traffic.
   EXPECT_LT(*std::max_element(sim.ready.begin(), sim.ready.end()),
-            *std::max_element(barrier_done.begin(), barrier_done.end()));
+            *std::max_element(barrier.ready.begin(), barrier.ready.end()));
 
   // Deterministic: a second replay of the same logs on a fresh scheduler
   // lands on identical times.
-  SimScheduler sched2;
-  sched2.AddResource();
-  sched2.AddResource();
-  exchange::PipelinedSimResult again = exchange::SimulatePipelinedExchange(
-      &sched2, resources, {&piped_net}, logs, start, p);
+  exchange::ExchangeSimResult again =
+      Replay(logs, 0, exchange::ExchangeSchedule::kPipelined);
   EXPECT_EQ(again.ready, sim.ready);
   EXPECT_EQ(again.producer_done, sim.producer_done);
   EXPECT_EQ(again.first_consume, sim.first_consume);
@@ -399,10 +426,6 @@ TEST(ExchangePipelineTest, PipelinedReplayOverlapsSkewedProducer) {
 }
 
 TEST(ExchangePipelineTest, PipelinedReplayChargesModeledSpill) {
-  exchange::ExchangeLatencyParams p;
-  const std::vector<SimTime> start = {0, 0};
-  const std::vector<int> resources = {0, 1};
-
   // A tiny channel cap: the replay must account spill deterministically
   // from the send/drain schedule (the real counters race the consumer).
   fs::path dir = fs::path(::testing::TempDir()) / "ofi-pipe-sim-spill";
@@ -410,34 +433,38 @@ TEST(ExchangePipelineTest, PipelinedReplayChargesModeledSpill) {
   fs::create_directories(dir);
   exchange::SpillBudget budget;
   exchange::ExchangeSpillConfig cfg{dir.string(), &budget};
-  ExchangeNetwork capped(2, /*batch_rows=*/8, /*max_channel_bytes=*/128, cfg);
-  auto logs = SkewedTraffic(&capped, /*heavy=*/400);
+  {
+    ExchangeNetwork capped(2, /*batch_rows=*/8, /*max_channel_bytes=*/128,
+                           cfg);
+    auto logs = SkewedTraffic(&capped, /*heavy=*/400);
+    exchange::ExchangeSimResult sim =
+        Replay(logs, 128, exchange::ExchangeSchedule::kPipelined);
+    EXPECT_GT(sim.spill_bytes, 0u);
+    EXPECT_GT(sim.spill_segments, 0u);
 
-  SimScheduler sched;
-  sched.AddResource();
-  sched.AddResource();
-  exchange::PipelinedSimResult sim = exchange::SimulatePipelinedExchange(
-      &sched, resources, {&capped}, logs, start, p);
-  EXPECT_GT(sim.modeled_spill_bytes, 0u);
+    // Uncapped replay of the same traffic finishes no later than the
+    // capped one (spill only ever adds service).
+    exchange::ExchangeSimResult free_sim =
+        Replay(logs, 0, exchange::ExchangeSchedule::kPipelined);
+    EXPECT_EQ(free_sim.spill_bytes, 0u);
+    EXPECT_LE(*std::max_element(free_sim.ready.begin(), free_sim.ready.end()),
+              *std::max_element(sim.ready.begin(), sim.ready.end()));
 
-  // Uncapped replay of the same traffic finishes no later than the capped
-  // one (spill only ever adds service).
-  ExchangeNetwork uncapped(2, /*batch_rows=*/8);
-  auto free_logs = SkewedTraffic(&uncapped, /*heavy=*/400);
-  SimScheduler sched2;
-  sched2.AddResource();
-  sched2.AddResource();
-  exchange::PipelinedSimResult free_sim = exchange::SimulatePipelinedExchange(
-      &sched2, resources, {&uncapped}, free_logs, start, p);
-  EXPECT_EQ(free_sim.modeled_spill_bytes, 0u);
-  EXPECT_LE(*std::max_element(free_sim.ready.begin(), free_sim.ready.end()),
-            *std::max_element(sim.ready.begin(), sim.ready.end()));
+    // Under the barrier schedule no consumer drains before every send is
+    // done: the model spills at least as much as the pipelined one, and
+    // exactly what the (undrained) channels spilled.
+    exchange::ExchangeSimResult barrier =
+        Replay(logs, 128, exchange::ExchangeSchedule::kBarrier);
+    EXPECT_GE(barrier.spill_bytes, sim.spill_bytes);
+    EXPECT_EQ(barrier.spill_bytes, capped.SpilledBytes());
+    EXPECT_EQ(barrier.spill_segments, capped.SpillSegments());
 
-  // Drain so the channels are clean before teardown (keeps the temp dir
-  // empty for the leak check).
-  for (int dst = 0; dst < 2; ++dst) {
-    ASSERT_TRUE(capped.ReceiveRows(dst).ok());
-    ASSERT_TRUE(uncapped.ReceiveRows(dst).ok());
+    // Drain so the channels are clean before teardown (keeps the temp dir
+    // empty for the leak check).
+    for (int src = 0; src < 2; ++src) capped.CloseAllFrom(src);
+    for (int dst = 0; dst < 2; ++dst) {
+      ASSERT_TRUE(capped.ReceiveRowsWait(dst, /*timeout_ms=*/1000).ok());
+    }
   }
   EXPECT_EQ(budget.used.load(), 0u);
   EXPECT_TRUE(fs::is_empty(dir));

@@ -3,7 +3,9 @@
 /// or (lifetime) byte accounting; spill files live exactly as long as their
 /// undelivered segments; a failed query leaks neither files nor accounting;
 /// and a truncated or corrupt segment surfaces as an error, never as wrong
-/// rows. The failing-query leak test runs under asan in CI (scripts/check.sh
+/// rows. The latency replay's modeled spill equals the channel counters
+/// under the barrier schedule and is deterministic under the pipelined
+/// one. The failing-query leak test runs under asan in CI (scripts/check.sh
 /// focus list), which also catches leaked FILE* streams.
 #include <gtest/gtest.h>
 
@@ -28,6 +30,14 @@ using sql::Value;
 
 Row MakeRow(int64_t k, const std::string& pad) {
   return Row{Value(k), Value(pad)};
+}
+
+/// Receives everything bound for `dst` after closing every channel — the
+/// barrier schedule's consumer (it never waits).
+Result<std::vector<Row>> ReceiveAfterClose(exchange::ExchangeNetwork* net,
+                                           int dst) {
+  for (int src = 0; src < net->num_nodes(); ++src) net->CloseAllFrom(src);
+  return net->ReceiveRowsWait(dst, /*timeout_ms=*/1000);
 }
 
 /// A fresh per-test spill directory, removed (with contents check hooks)
@@ -168,9 +178,12 @@ TEST_F(ExchangeSpillTest, NetworkSpillDeliversBitIdenticalRowsInOrder) {
   exchange::ExchangeNetwork capped(3, /*batch_rows=*/16,
                                    /*max_channel_bytes=*/64, cfg);
 
+  std::vector<std::vector<exchange::SentBatch>> logs(3);
   for (int src = 0; src < 3; ++src) {
-    ASSERT_TRUE(exchange::ShufflePartition(&uncapped, src, rows, 0).ok());
-    ASSERT_TRUE(exchange::ShufflePartition(&capped, src, rows, 0).ok());
+    std::vector<exchange::SentBatch>* log = &logs[static_cast<size_t>(src)];
+    ASSERT_TRUE(exchange::ScatterRows(&uncapped, src, rows, 0, 0, log).ok());
+    log->clear();  // the capped network's log replaces it: same framing
+    ASSERT_TRUE(exchange::ScatterRows(&capped, src, rows, 0, 0, log).ok());
   }
   EXPECT_GT(capped.SpilledBytes(), 0u);
   EXPECT_EQ(capped.DeniedBytes(), 0u);
@@ -178,10 +191,34 @@ TEST_F(ExchangeSpillTest, NetworkSpillDeliversBitIdenticalRowsInOrder) {
   EXPECT_EQ(capped.CrossNodeBytes(), uncapped.CrossNodeBytes());
   EXPECT_EQ(capped.CrossNodeBatches(), uncapped.CrossNodeBatches());
 
+  // Every send happened before any receive — the barrier schedule — so the
+  // replay's modeled spill is exactly what the channels spilled, and each
+  // node is ready exactly its spill I/O later than in the uncapped replay.
+  SimScheduler sched;
+  const std::vector<int> res = {sched.AddResource(), sched.AddResource(),
+                                sched.AddResource()};
+  const exchange::ExchangeLatencyParams p;
+  auto replay = [&](size_t cap) {
+    sched.Reset();
+    return exchange::SimulateExchange(&sched, res, {cap}, logs, {0, 0, 0}, p,
+                                      exchange::ExchangeSchedule::kBarrier);
+  };
+  exchange::ExchangeSimResult spilled = replay(64);
+  EXPECT_EQ(spilled.spill_bytes, capped.SpilledBytes());
+  EXPECT_EQ(spilled.spill_segments, capped.SpillSegments());
+  exchange::ExchangeSimResult in_memory = replay(0);
+  EXPECT_EQ(in_memory.spill_bytes, 0u);
+  for (int j = 0; j < 3; ++j) {
+    EXPECT_EQ(spilled.ready[j], in_memory.ready[j] +
+                                    exchange::SpillServiceTime(
+                                        capped.SpilledInBytes(j), p))
+        << "node " << j;
+  }
+
   size_t total = 0;
   for (int dst = 0; dst < 3; ++dst) {
-    auto want = uncapped.ReceiveRows(dst);
-    auto got = capped.ReceiveRows(dst);
+    auto want = ReceiveAfterClose(&uncapped, dst);
+    auto got = ReceiveAfterClose(&capped, dst);
     ASSERT_TRUE(want.ok());
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     // Bit-identical rows in the identical (deterministic) order.
@@ -212,7 +249,8 @@ TEST_F(ExchangeSpillTest, FailedShuffleRollsBackPartialSends) {
   std::vector<Row> rows;
   for (int64_t i = 0; i < 64; ++i) rows.push_back(MakeRow(i, "padpadpad"));
 
-  Status st = exchange::ShufflePartition(&net, 0, rows, 0);
+  std::vector<exchange::SentBatch> log;
+  Status st = exchange::ScatterRows(&net, 0, rows, 0, 0, &log);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
   EXPECT_GT(net.DeniedBytes(), 0u);
@@ -221,12 +259,13 @@ TEST_F(ExchangeSpillTest, FailedShuffleRollsBackPartialSends) {
   EXPECT_EQ(net.CrossNodeBytes(), 0u);
   EXPECT_EQ(net.CrossNodeBatches(), 0u);
   EXPECT_GT(net.AbortedBytes(), 0u);
+  EXPECT_TRUE(log.empty());  // a failed scatter logs nothing to replay
   for (int dst = 0; dst < 2; ++dst) {
     EXPECT_EQ(net.channel(0, dst).queued_bytes(), 0u);
+    auto empty = net.channel(0, dst).Drain();
+    ASSERT_TRUE(empty.ok());
+    EXPECT_TRUE(empty->empty());
   }
-  auto empty = net.ReceiveRows(1);
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
   EXPECT_EQ(FilesInDir(), 0u);
 }
 
@@ -259,7 +298,8 @@ TEST_F(ExchangeSpillTest, CorruptSpilledBatchFailsDecodeNotSilently) {
                                 cfg);
   std::vector<Row> rows;
   for (int64_t i = 0; i < 16; ++i) rows.push_back(MakeRow(i, "padpad"));
-  ASSERT_TRUE(net.SendRows(0, 1, rows).ok());
+  std::vector<exchange::SentBatch> log;
+  ASSERT_TRUE(exchange::ScatterRows(&net, 0, rows, std::nullopt, 0, &log).ok());
   std::string path = net.channel(0, 1).spill_path();
   ASSERT_FALSE(path.empty());
   {
@@ -267,7 +307,7 @@ TEST_F(ExchangeSpillTest, CorruptSpilledBatchFailsDecodeNotSilently) {
     f.seekp(0);
     f.write("\xff\xff\xff\xff\xff\xff\xff\xff", 8);
   }
-  auto got = net.ReceiveRows(1);
+  auto got = ReceiveAfterClose(&net, 1);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
 }
@@ -405,12 +445,13 @@ TEST_F(ExchangeSpillTest, PipelinedCappedExchangeLeaksNoFilesOrBudget) {
 
   // Reference: uncapped barrier scatter for the expected receive order.
   exchange::ExchangeNetwork plain(3, /*batch_rows=*/8);
+  std::vector<exchange::SentBatch> log;
   for (int src = 0; src < 3; ++src) {
-    ASSERT_TRUE(exchange::ShufflePartition(&plain, src, rows, 0).ok());
+    ASSERT_TRUE(exchange::ScatterRows(&plain, src, rows, 0, 0, &log).ok());
   }
   std::vector<std::vector<Row>> want(3);
   for (int dst = 0; dst < 3; ++dst) {
-    auto r = plain.ReceiveRows(dst);
+    auto r = ReceiveAfterClose(&plain, dst);
     ASSERT_TRUE(r.ok());
     want[static_cast<size_t>(dst)] = std::move(*r);
   }
@@ -456,6 +497,63 @@ TEST_F(ExchangeSpillTest, PipelinedCappedExchangeLeaksNoFilesOrBudget) {
     EXPECT_EQ(FilesInDir(), 0u);
   }
   EXPECT_EQ(FilesInDir(), 0u);
+}
+
+TEST_F(ExchangeSpillTest, PipelinedCappedJoinStatsAreDeterministic) {
+  // A hot producer streaming into a capped channel: how much the real
+  // channels spill depends on how far each consumer thread lags. The stats
+  // report the replay's modeled spill instead, so repeated runs agree on
+  // every figure, and on the simulated latency that spill is charged in.
+  Cluster cluster(2, Protocol::kGtmLite);
+  cluster.set_sharder(
+      [](const sql::Value& v) { return v.AsInt() % 5 == 0 ? 1 : 0; });
+  Schema orders({Column{"o_id", TypeId::kInt64, ""},
+                 Column{"pad", TypeId::kString, ""}});
+  Schema lookup({Column{"l_id", TypeId::kInt64, ""},
+                 Column{"pad", TypeId::kString, ""}});
+  ASSERT_TRUE(cluster.CreateTable("orders", orders).ok());
+  ASSERT_TRUE(cluster.CreateTable("lookup", lookup).ok());
+  std::string pad(48, 'p');
+  for (int64_t i = 0; i < 4000; ++i) {
+    Txn t = cluster.Begin(TxnScope::kSingleShard);
+    ASSERT_TRUE(t.Insert("orders", Value(i), MakeRow(i % 200, pad)).ok());
+    ASSERT_TRUE(t.Commit().ok());
+  }
+  for (int64_t i = 0; i < 200; ++i) {
+    Txn t = cluster.Begin(TxnScope::kSingleShard);
+    ASSERT_TRUE(t.Insert("lookup", Value(i), MakeRow(i, pad)).ok());
+    ASSERT_TRUE(t.Commit().ok());
+  }
+
+  JoinQuery spec{"orders", "lookup", "o_id", "l_id"};
+  DistExecOptions opts;
+  opts.strategy_override = JoinStrategy::kRepartition;
+  opts.pipeline = true;
+  opts.batch_rows = 16;
+  opts.max_channel_bytes = 8 * 1024;
+  opts.spill_dir = dir_.string();
+  std::vector<DistExecStats> runs;
+  for (int run = 0; run < 8; ++run) {
+    cluster.scheduler().Reset();
+    auto r = ExecuteDistPlan(&cluster, spec.Plan(), opts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    runs.push_back(r->stats);
+  }
+  EXPECT_GT(runs[0].spill_bytes, 0u);
+  EXPECT_EQ(FilesInDir(), 0u);
+  for (size_t run = 1; run < runs.size(); ++run) {
+    const DistExecStats& a = runs[0];
+    const DistExecStats& b = runs[run];
+    EXPECT_EQ(b.sim_latency_us, a.sim_latency_us) << "run " << run;
+    EXPECT_EQ(b.spill_bytes, a.spill_bytes) << "run " << run;
+    EXPECT_EQ(b.spill_segments, a.spill_segments) << "run " << run;
+    EXPECT_EQ(b.pipeline_overlap_us, a.pipeline_overlap_us) << "run " << run;
+    EXPECT_EQ(b.batches_streamed, a.batches_streamed) << "run " << run;
+    EXPECT_EQ(b.shuffle_bytes, a.shuffle_bytes) << "run " << run;
+    EXPECT_EQ(b.exchange_batches, a.exchange_batches) << "run " << run;
+    EXPECT_EQ(b.result_bytes, a.result_bytes) << "run " << run;
+    EXPECT_EQ(b.build_spill_bytes, a.build_spill_bytes) << "run " << run;
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 /// Exchange subsystem units: the wire codec must round-trip every value
 /// type and reject corrupt input; the partition hash must be consistent
-/// with Value equality; shuffle/broadcast must deliver deterministically
-/// with exact byte/batch accounting; the simulated exchange must keep the
-/// max-over-senders (not chained) shape.
+/// with Value equality; repartition/broadcast scatters must deliver
+/// deterministically with exact byte/batch accounting; the barrier-schedule
+/// replay must keep the max-over-senders (not chained) shape.
 #include "cluster/exchange/exchange.h"
 
 #include <gtest/gtest.h>
@@ -84,10 +84,18 @@ TEST(ExchangePartitionHashTest, ConsistentWithValueEquality) {
   EXPECT_GT(residues.size(), 1u);
 }
 
+/// Receives everything bound for `dst` after closing every channel — the
+/// barrier schedule's consumer (it never waits).
+Result<std::vector<Row>> ReceiveAfterClose(ExchangeNetwork* net, int dst) {
+  for (int src = 0; src < net->num_nodes(); ++src) net->CloseAllFrom(src);
+  return net->ReceiveRowsWait(dst, /*timeout_ms=*/1000);
+}
+
 TEST(ExchangeNetworkTest, ShuffleDeliversEveryRowExactlyOnceCoPartitioned) {
   const int n = 4;
   ExchangeNetwork net(n, /*batch_rows=*/3);
   Rng rng(11);
+  std::vector<SentBatch> log;
   size_t total = 0;
   for (int src = 0; src < n; ++src) {
     std::vector<Row> rows;
@@ -95,12 +103,12 @@ TEST(ExchangeNetworkTest, ShuffleDeliversEveryRowExactlyOnceCoPartitioned) {
       rows.push_back({Value(rng.Uniform(0, 50)), Value(int64_t{src})});
     }
     total += rows.size();
-    ShufflePartition(&net, src, rows, /*key_idx=*/0);
+    ASSERT_TRUE(ScatterRows(&net, src, rows, /*key_idx=*/0, 0, &log).ok());
   }
   size_t received = 0;
   std::set<int64_t> seen_keys;
   for (int dst = 0; dst < n; ++dst) {
-    auto rows = net.ReceiveRows(dst);
+    auto rows = ReceiveAfterClose(&net, dst);
     ASSERT_TRUE(rows.ok());
     received += rows->size();
     for (const auto& r : *rows) {
@@ -115,12 +123,17 @@ TEST(ExchangeNetworkTest, ShuffleDeliversEveryRowExactlyOnceCoPartitioned) {
 TEST(ExchangeNetworkTest, ReceiveOrderIsSourceOrderThenSendOrder) {
   const int n = 3;
   ExchangeNetwork net(n, /*batch_rows=*/2);
+  auto send = [&](int src, const std::vector<Row>& rows) {
+    std::string batch = EncodeBatch(rows, 0, rows.size());
+    ASSERT_TRUE(net.channel(src, 0).Send(std::move(batch)).ok());
+  };
   // Sources send to node 0 out of source order; the receiver must still see
   // src-0 rows, then src-1, then src-2, each in send order.
-  net.SendRows(2, 0, {{Value(int64_t{20})}, {Value(int64_t{21})}});
-  net.SendRows(0, 0, {{Value(int64_t{0})}, {Value(int64_t{1})}, {Value(int64_t{2})}});
-  net.SendRows(1, 0, {{Value(int64_t{10})}});
-  auto rows = net.ReceiveRows(0);
+  send(2, {{Value(int64_t{20})}, {Value(int64_t{21})}});
+  send(0, {{Value(int64_t{0})}, {Value(int64_t{1})}});
+  send(0, {{Value(int64_t{2})}});
+  send(1, {{Value(int64_t{10})}});
+  auto rows = ReceiveAfterClose(&net, 0);
   ASSERT_TRUE(rows.ok());
   std::vector<int64_t> got;
   for (const auto& r : *rows) got.push_back(r[0].AsInt());
@@ -132,10 +145,11 @@ TEST(ExchangeNetworkTest, BroadcastReachesEveryNodeAndCountsCrossTraffic) {
   ExchangeNetwork net(n, /*batch_rows=*/8);
   std::vector<Row> rows;
   for (int64_t i = 0; i < 10; ++i) rows.push_back({Value(i)});
-  BroadcastRows(&net, 1, rows);
+  std::vector<SentBatch> log;
+  ASSERT_TRUE(ScatterRows(&net, 1, rows, std::nullopt, 0, &log).ok());
   const size_t encoded = EncodedBytes(rows, 8);
   for (int dst = 0; dst < n; ++dst) {
-    auto got = net.ReceiveRows(dst);
+    auto got = ReceiveAfterClose(&net, dst);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got->size(), rows.size()) << "dst " << dst;
   }
@@ -147,26 +161,44 @@ TEST(ExchangeNetworkTest, BroadcastReachesEveryNodeAndCountsCrossTraffic) {
   EXPECT_EQ(net.InBytes(2), encoded);
   // ceil(10/8) = 2 batches per destination.
   EXPECT_EQ(net.CrossNodeBatches(), 2u * (n - 1));
-  // Stats cover every non-empty channel, loopback included.
+  // Stats cover every non-empty channel, loopback included; so does the
+  // send log.
   size_t stat_bytes = 0;
   for (const auto& s : net.Stats()) stat_bytes += s.bytes;
   EXPECT_EQ(stat_bytes, encoded * n);
+  size_t logged_bytes = 0;
+  for (const auto& b : log) logged_bytes += b.bytes;
+  EXPECT_EQ(logged_bytes, encoded * n);
+  EXPECT_EQ(log.size(), 2u * n);
+}
+
+/// Replays `logs` under the barrier schedule on fresh resources.
+ExchangeSimResult ReplayBarrier(const std::vector<std::vector<SentBatch>>& logs,
+                                const std::vector<SimTime>& start,
+                                const ExchangeLatencyParams& p,
+                                size_t cap = 0) {
+  SimScheduler sched;
+  std::vector<int> res;
+  for (size_t i = 0; i < start.size(); ++i) res.push_back(sched.AddResource());
+  return SimulateExchange(&sched, res, {cap}, logs, start, p,
+                          ExchangeSchedule::kBarrier);
 }
 
 TEST(ExchangeSimTest, ParallelExchangeIsMaxOverSendersNotSum) {
   ExchangeLatencyParams p;  // hop 25, batch 4, kb 2
   auto run = [&](int n) {
-    SimScheduler sched;
-    std::vector<int> res;
-    for (int i = 0; i < n; ++i) res.push_back(sched.AddResource());
     ExchangeNetwork net(n, 64);
     std::vector<Row> rows;
     for (int64_t i = 0; i < 200; ++i) rows.push_back({Value(i), Value(i * 7)});
-    for (int src = 0; src < n; ++src) ShufflePartition(&net, src, rows, 0);
+    std::vector<std::vector<SentBatch>> logs(static_cast<size_t>(n));
+    for (int src = 0; src < n; ++src) {
+      EXPECT_TRUE(ScatterRows(&net, src, rows, 0, 0,
+                              &logs[static_cast<size_t>(src)]).ok());
+    }
     std::vector<SimTime> start(static_cast<size_t>(n), 100);
-    auto done = SimulateExchange(&sched, res, {&net}, start, p);
+    ExchangeSimResult sim = ReplayBarrier(logs, start, p);
     SimTime max_done = 0;
-    for (SimTime d : done) max_done = std::max(max_done, d);
+    for (SimTime d : sim.ready) max_done = std::max(max_done, d);
     return max_done - 100;
   };
   SimTime two = run(2);
@@ -177,33 +209,44 @@ TEST(ExchangeSimTest, ParallelExchangeIsMaxOverSendersNotSum) {
 }
 
 TEST(ExchangeSimTest, NoTrafficChargesNothing) {
-  SimScheduler sched;
-  std::vector<int> res = {sched.AddResource(), sched.AddResource()};
-  ExchangeNetwork net(2, 64);
-  std::vector<SimTime> start = {40, 60};
-  auto done = SimulateExchange(&sched, res, {&net}, start,
-                               ExchangeLatencyParams{});
-  EXPECT_EQ(done[0], 40);
-  EXPECT_EQ(done[1], 60);
+  ExchangeSimResult sim = ReplayBarrier({{}, {}}, {40, 60},
+                                        ExchangeLatencyParams{});
+  EXPECT_EQ(sim.ready[0], 40);
+  EXPECT_EQ(sim.ready[1], 60);
+  EXPECT_EQ(sim.overlap_us, 0);
 }
 
 TEST(ExchangeSimTest, ReceiverWaitsForSlowestSenderPlusHop) {
   ExchangeLatencyParams p;
-  SimScheduler sched;
-  std::vector<int> res = {sched.AddResource(), sched.AddResource(),
-                          sched.AddResource()};
-  ExchangeNetwork net(3, 64);
   // Nodes 1 and 2 ship one small batch each to node 0; node 2 starts late.
-  net.SendRows(1, 0, {{Value(int64_t{1})}});
-  net.SendRows(2, 0, {{Value(int64_t{2})}});
-  std::vector<SimTime> start = {0, 0, 500};
-  auto done = SimulateExchange(&sched, res, {&net}, start, p);
-  size_t batch_bytes = net.channel(1, 0).bytes();
+  const size_t batch_bytes =
+      EncodeBatch({{Value(int64_t{1})}}, 0, 1).size();
+  std::vector<std::vector<SentBatch>> logs = {
+      {}, {SentBatch{0, 0, batch_bytes}}, {SentBatch{0, 0, batch_bytes}}};
+  ExchangeSimResult sim = ReplayBarrier(logs, {0, 0, 500}, p);
   SimTime send_service = ExchangeServiceTime(batch_bytes, 1, p);
   // Node 2 sends at 500..500+s; node 0 decodes after that + one hop.
   SimTime slowest_arrival = 500 + send_service + p.network_hop_us;
-  EXPECT_EQ(done[0],
+  EXPECT_EQ(sim.ready[0],
             slowest_arrival + ExchangeServiceTime(2 * batch_bytes, 2, p));
+  EXPECT_EQ(sim.first_consume[0], slowest_arrival);
+  // A sender with no input is ready when its own scatter ends.
+  EXPECT_EQ(sim.ready[2], 500 + send_service);
+  EXPECT_EQ(sim.ready[1], send_service);
+}
+
+TEST(ExchangeSimTest, BarrierWindowOnlyFillsEvenWhenPopMeetsSend) {
+  // Node 1 keeps two batches on its loopback channel: nothing is encoded,
+  // so both are "sent" at time 0, and the consumer reaches the first one at
+  // time 0 too. Under the barrier schedule nobody pops before every send
+  // is done, so — exactly like the real channel — the second batch finds
+  // the 150-byte window holding the first and spills.
+  std::vector<std::vector<SentBatch>> logs = {
+      {}, {SentBatch{0, 1, 100}, SentBatch{0, 1, 100}}};
+  ExchangeSimResult sim =
+      ReplayBarrier(logs, {0, 0}, ExchangeLatencyParams{}, /*cap=*/150);
+  EXPECT_EQ(sim.spill_bytes, 100u);
+  EXPECT_EQ(sim.spill_segments, 1u);
 }
 
 }  // namespace
