@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <numeric>
+#include <optional>
 
 #include "cluster/distributed_plan.h"
 #include "common/rng.h"
@@ -148,7 +149,8 @@ DistProbe RunDist(cluster::Cluster* c, cluster::ScanPath path,
                   bool force_materialize) {
   cluster::DistExecOptions opts;
   opts.use_columnar = path == cluster::ScanPath::kColumnar;
-  opts.columnar_force_materialize = force_materialize;
+  std::optional<cluster::ForceColumnarMaterializeForTesting> force;
+  if (force_materialize) force.emplace();
   auto t0 = std::chrono::steady_clock::now();
   auto res = cluster::ExecuteDistPlan(c, GroupByPlan(path), opts);
   DistProbe p;

@@ -10,18 +10,19 @@
 ///
 /// Sweeps producer skew (0.5 / 0.75 / 0.9 of orders on DN 0), cluster size
 /// (2 / 4 DNs) and the exchange channel cap (uncapped / 64 KiB / 8 KiB —
-/// capped legs pay modeled spill I/O in both modes). Every leg executes the
-/// same loaded cluster in both modes with the scheduler reset in between,
-/// so both start from idle resources at the same clock, and checks the row
-/// sequences are bit-identical (the pipelined path's core contract).
+/// capped legs pay their channels' spill I/O in both modes). Every leg
+/// executes the same loaded cluster in both modes with the scheduler reset
+/// in between, so both start from idle resources at the same clock, and
+/// checks the row sequences are bit-identical (the pipelined path's core
+/// contract).
 ///
-/// Both modes run the same executor (streaming producers, blocking
-/// consumers) and the same latency replay; DistExecOptions::pipeline only
-/// picks the schedule. Besides the plain-text tables, the binary writes the
+/// Both modes run the same simulated-time exchange loop
+/// (exchange::RunExchange); DistExecOptions::pipeline only picks when its
+/// consumers may run. Besides the plain-text tables, the binary writes the
 /// sweep as JSON (default `BENCH_exchange_pipeline.json`, override with
 /// OFI_BENCH_JSON), including the headline barrier/pipelined speedup at
-/// 2 DNs, skew 0.9, default caps. `spill_bytes` is the pipelined leg's
-/// spill as the replay modeled and charged it.
+/// 2 DNs, skew 0.9, default caps. `spill_bytes` is what the pipelined
+/// leg's channels spilled, the figure the loop charges.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>

@@ -26,7 +26,9 @@
 /// directory, `--spill-budget=N` caps live on-disk spill bytes,
 /// and `--build-cap=N` caps the per-DN join build partition; a query whose
 /// spill outgrows the budget fails with ResourceExhausted. `--pipeline`
-/// runs producer and consumer fragments concurrently (pipelined exchange).
+/// picks the pipelined exchange schedule: a join's consumers decode
+/// batches as they land in simulated time instead of waiting for every
+/// producer to close.
 /// `--no-index` disables the optimizer's secondary-index fast path
 /// (every SELECT scans) — the escape hatch for comparing plans.
 #include <cstdio>

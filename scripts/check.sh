@@ -16,15 +16,15 @@ run_preset() {
   cmake --preset "${preset}"
   cmake --build --preset "${preset}" -j "${jobs}"
   ctest --preset "${preset}" -j "${jobs}"
-  # The exchange/join/columnar-scan tests cross threads by design (pool
-  # scatter, channel sends, vacuum-under-exchange stress, morsel-parallel
+  # The join/columnar-scan tests cross threads by design (pool scatter of
+  # scans and per-DN joins, vacuum-under-exchange stress, morsel-parallel
   # chunk scans), the admission-queue stress drives the CN gate from
   # 8 real threads, and the scheduler test charges one resource from 4
   # threads — run them by name so a filtered or stale test list can
   # never skip the reason this gate exists.
   echo "=== ${preset}: exchange/join/columnar/distributed-sql/traffic focus ==="
   ctest --preset "${preset}" \
-    -R "exchange|distributed_join|vacuum_exchange|column_store|column_scan|column_groupby|columnar_mpp|mpp_query|distributed_sql|distributed_groupby|exchange_limit|exchange_spill|exchange_pipeline|columnar_refresh|htap_freshness|traffic|admission_queue|group_commit|tpcc|secondary_index|sim_and_util" \
+    -R "exchange|distributed_join|column_store|column_scan|column_groupby|columnar_mpp|mpp_query|distributed_sql|distributed_groupby|columnar_refresh|htap_freshness|traffic|admission_queue|group_commit|tpcc|secondary_index|sim_and_util" \
     --output-on-failure
   echo "=== ${preset}: sql shell smoke (distributed) ==="
   scripts/sql_shell_smoke.sh "build-${preset}"

@@ -1,9 +1,9 @@
 #include "cluster/distributed_plan.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <iterator>
-#include <latch>
 #include <map>
 #include <optional>
 
@@ -23,6 +23,9 @@ using sql::Row;
 using sql::Table;
 using sql::TypeId;
 using sql::Value;
+
+/// Set while a ForceColumnarMaterializeForTesting is alive.
+std::atomic<bool> g_force_materialize{false};
 
 /// The partial aggregates one requested aggregate decomposes into, and how
 /// the final stage merges them.
@@ -974,7 +977,8 @@ Status DistPlanExecutor::ExecScanFragment(const DistOp& scan, bool fused,
       } else if (support == KernelSupport::kUnsupportedGroupBy) {
         cluster_->metrics().Add("columnar.fallback_groupby_type");
       }
-      if (kernel_path && opts_.columnar_force_materialize) {
+      if (kernel_path &&
+          g_force_materialize.load(std::memory_order_relaxed)) {
         kernel_path = false;
         forced_materialize = true;
       }
@@ -1437,54 +1441,60 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
   }
   stats_.strategy = strategy;
 
-  // Data movement: move rows through the exchange. Each worker only writes
-  // channels whose source is its own node, so sends are race-free by
-  // construction (channels are mutex-guarded regardless). A channel byte
-  // limit bounds the in-memory window; overflow spills to per-channel temp
-  // files (or is denied once the spill budget is exhausted). One budget
-  // spans both relations' networks and the build side.
+  // Data movement: repartition moves both relations, broadcast only the
+  // smaller one (the build side). One loop in simulated time runs every
+  // producer and consumer and charges them (exchange::RunExchange), so the
+  // latency and spill figures describe exactly the exchange that ran. A
+  // channel byte limit bounds the in-memory window; overflow spills to
+  // per-channel temp files (or is denied once the spill budget is
+  // exhausted). One budget spans both relations' networks and the build
+  // side.
   exchange::SpillBudget spill_budget(opts_.max_spill_bytes);
   exchange::ExchangeSpillConfig spill_cfg{opts_.spill_dir, &spill_budget};
   exchange::ExchangeNetwork left_net(n_, batch_rows_, opts_.max_channel_bytes,
                                      spill_cfg);
   exchange::ExchangeNetwork right_net(n_, batch_rows_, opts_.max_channel_bytes,
                                       spill_cfg);
-  std::vector<Status> send_status(serving_.size(), Status::OK());
-  // send_logs[i] records producer i's flushed batches in send order (net 0
-  // = left relation, 1 = right) for the deterministic latency replay;
-  // streamed[j] counts the batches consumer j drained while producers ran
-  // (pipelined schedule only). Each worker writes only its own entry.
-  std::vector<std::vector<exchange::SentBatch>> send_logs(serving_.size());
-  std::vector<size_t> streamed(serving_.size(), 0);
-  constexpr int64_t kPopTimeoutMs = 60'000;
-
-  // Producer i streams its side(s) into the exchange, then closes every
-  // channel it owns on both nets, success or failure: blocked consumers
-  // wake immediately, and an error status fails them fast instead of
-  // letting them time out.
-  auto produce = [&](int i) {
-    const auto& left_rows = left_slots[static_cast<size_t>(i)].table.rows();
-    const auto& right_rows = right_slots[static_cast<size_t>(i)].table.rows();
-    std::vector<exchange::SentBatch>* log = &send_logs[static_cast<size_t>(i)];
-    Status st;
-    if (strategy == JoinStrategy::kBroadcast) {
-      st = stats_.broadcast_left
-               ? exchange::ScatterRows(&left_net, i, left_rows, std::nullopt,
-                                       0, log)
-               : exchange::ScatterRows(&right_net, i, right_rows,
-                                       std::nullopt, 1, log);
-    } else {
-      st = exchange::ScatterRows(&left_net, i, left_rows, left_key_idx_, 0,
-                                 log);
-      if (st.ok()) {
-        st = exchange::ScatterRows(&right_net, i, right_rows, right_key_idx_,
-                                   1, log);
-      }
+  const bool repartition = strategy == JoinStrategy::kRepartition;
+  const bool move_left = repartition || stats_.broadcast_left;
+  const bool move_right = repartition || !stats_.broadcast_left;
+  std::vector<std::vector<exchange::ScatterInput>> inputs(serving_.size());
+  std::vector<int> resources(serving_.size());
+  for (int i = 0; i < n_; ++i) {
+    const size_t si = static_cast<size_t>(i);
+    if (move_left) {
+      inputs[si].push_back(exchange::ScatterInput{
+          0, &left_slots[si].table.rows(),
+          repartition ? std::optional<size_t>(left_key_idx_) : std::nullopt});
     }
-    send_status[static_cast<size_t>(i)] = st;
-    left_net.CloseAllFrom(i, st);
-    right_net.CloseAllFrom(i, st);
-  };
+    if (move_right) {
+      inputs[si].push_back(exchange::ScatterInput{
+          1, &right_slots[si].table.rows(),
+          repartition ? std::optional<size_t>(right_key_idx_) : std::nullopt});
+    }
+    resources[si] = cluster_->dn_resource(serving_[i]);
+  }
+  exchange::ExchangeLatencyParams params = ExchangeParams();
+  exchange::ExchangeRun run = exchange::RunExchange(
+      {&left_net, &right_net}, inputs, &cluster_->scheduler(), resources,
+      frontier_, params,
+      opts_.pipeline ? exchange::ExchangeSchedule::kPipelined
+                     : exchange::ExchangeSchedule::kBarrier);
+
+  // Hard-limit denials and rolled-back partial sends are emitted
+  // immediately (not via pending_metrics_): they describe a query that is
+  // about to fail, and pending metrics only replay after a commit.
+  const size_t denied = left_net.DeniedBytes() + right_net.DeniedBytes();
+  if (denied > 0) {
+    cluster_->metrics().Add("exchange.bytes_denied",
+                            static_cast<int64_t>(denied));
+  }
+  const size_t aborted = left_net.AbortedBytes() + right_net.AbortedBytes();
+  if (aborted > 0) {
+    cluster_->metrics().Add("exchange.bytes_aborted",
+                            static_cast<int64_t>(aborted));
+  }
+  for (const Status& st : run.producer_status) OFI_RETURN_NOT_OK(st);
 
   // Per-DN join (+ fused partial aggregation): each DN assembles its slice
   // (local rows for the side that did not move, exchange-delivered rows for
@@ -1495,22 +1505,17 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
   // is bit-identical and the overflow only costs simulated spill I/O.
   exchange::ExchangeSpillConfig build_cfg{opts_.spill_dir, &spill_budget};
   std::vector<FragSlot>& slots = *slots_out;
-  auto consume = [&](int j) {
-    FragSlot& slot = slots[static_cast<size_t>(j)];
-    auto side_rows = [&](bool is_left) -> Result<std::vector<Row>> {
-      const bool moved = strategy == JoinStrategy::kRepartition ||
-                         (is_left == stats_.broadcast_left);
-      if (!moved) {
-        return std::move((is_left ? left_slots : right_slots)[
-            static_cast<size_t>(j)].table.mutable_rows());
-      }
-      // Blocks until each batch (or the producer's close) arrives; under
-      // the barrier schedule every producer has closed and it never waits.
-      return (is_left ? left_net : right_net)
-          .ReceiveRowsWait(j, kPopTimeoutMs,
-                           opts_.pipeline ? &streamed[static_cast<size_t>(j)]
-                                          : nullptr);
-    };
+  auto join_dn = [&](int j) {
+    const size_t sj = static_cast<size_t>(j);
+    FragSlot& slot = slots[sj];
+    slot.status = run.consumer_status[sj];
+    if (!slot.status.ok()) return;
+    std::vector<Row> lrows =
+        std::move(move_left ? run.rows[0][sj]
+                            : left_slots[sj].table.mutable_rows());
+    std::vector<Row> rrows =
+        std::move(move_right ? run.rows[1][sj]
+                             : right_slots[sj].table.mutable_rows());
     auto spool_build = [&](std::vector<Row>* rows) -> Status {
       if (opts_.max_build_bytes == 0 ||
           exchange::EncodedBytes(*rows, batch_rows_) <=
@@ -1537,23 +1542,13 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
       *rows = std::move(out);
       return Status::OK();
     };
-    auto lrows = side_rows(true);
-    if (!lrows.ok()) {
-      slot.status = lrows.status();
-      return;
-    }
-    auto rrows = side_rows(false);
-    if (!rrows.ok()) {
-      slot.status = rrows.status();
-      return;
-    }
-    slot.status = spool_build(stats_.broadcast_left ? &*lrows : &*rrows);
+    slot.status = spool_build(stats_.broadcast_left ? &lrows : &rrows);
     if (!slot.status.ok()) return;
     sql::ExprPtr pred = Expr::EqCols(join.left_key, join.right_key);
     if (join.residual) pred = Expr::And(pred, join.residual->Clone());
     sql::PlanPtr plan = sql::MakeJoin(
-        sql::MakeValues(Table(left_schema_, std::move(*lrows))),
-        sql::MakeValues(Table(right_schema_, std::move(*rrows))), pred);
+        sql::MakeValues(Table(left_schema_, std::move(lrows))),
+        sql::MakeValues(Table(right_schema_, std::move(rrows))), pred);
     if (fused) {
       std::vector<AggSpec> partial_specs;
       for (const auto& p : plans_) {
@@ -1574,78 +1569,17 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
     if (fused) slot.partial_bytes = TableBytes(*joined);
     slot.table = std::move(*joined);
   };
+  RunScatter(opts_.parallel, n_, join_dn);
 
-  // Hard-limit denials and rolled-back partial sends are emitted
-  // immediately (not via pending_metrics_): they describe a query that is
-  // about to fail, and pending metrics only replay after a commit.
-  auto emit_exchange_failures = [&] {
-    const size_t denied = left_net.DeniedBytes() + right_net.DeniedBytes();
-    if (denied > 0) {
-      cluster_->metrics().Add("exchange.bytes_denied",
-                              static_cast<int64_t>(denied));
-    }
-    const size_t aborted = left_net.AbortedBytes() + right_net.AbortedBytes();
-    if (aborted > 0) {
-      cluster_->metrics().Add("exchange.bytes_aborted",
-                              static_cast<int64_t>(aborted));
-    }
-  };
-
-  if (opts_.pipeline) {
-    // Pipelined schedule: all N producers and all N consumers run together
-    // on a dedicated pool so DistHashJoin's probe assembly starts while the
-    // upstream scatters are still streaming batches. The pool has one
-    // thread per fragment (2N): fewer could park a producer behind
-    // consumers blocked in PopBatchWait. The shared fixed-size pool is
-    // deliberately not used — its workers must never block on each other
-    // (ParallelFor must not nest), and these consumers block by design.
-    common::ThreadPool pipe_pool(2 * n_);
-    std::latch all_done(static_cast<std::ptrdiff_t>(2 * n_));
-    for (int i = 0; i < n_; ++i) {
-      pipe_pool.Submit([&, i] {
-        produce(i);
-        all_done.count_down();
-      });
-    }
-    for (int j = 0; j < n_; ++j) {
-      pipe_pool.Submit([&, j] {
-        consume(j);
-        all_done.count_down();
-      });
-    }
-    all_done.wait();
-  } else {
-    // Barrier schedule: every producer scatters and closes, then every
-    // consumer drains and joins. Each phase fans out on the shared pool.
-    RunScatter(opts_.parallel, n_, produce);
-    RunScatter(opts_.parallel, n_, consume);
-  }
-  emit_exchange_failures();
-  for (const auto& st : send_status) OFI_RETURN_NOT_OK(st);
-
-  // Simulated latency: sends start when a node's scans are done; node j can
-  // join once the replay of the schedule that ran has decoded its input
-  // (barrier: after the slowest sender shipping to it +1 hop; pipelined:
-  // each batch as it lands, which is where the overlap win shows up); then
-  // one join statement per DN. The fused partial aggregate rides in that
-  // same statement (scan+agg was one statement on the aggregate path too).
-  exchange::ExchangeLatencyParams params = ExchangeParams();
-  std::vector<int> resources(serving_.size());
-  for (int i = 0; i < n_; ++i) {
-    resources[static_cast<size_t>(i)] = cluster_->dn_resource(serving_[i]);
-  }
-  const exchange::ExchangeSimResult sim = exchange::SimulateExchange(
-      &cluster_->scheduler(), resources,
-      {left_net.max_channel_bytes(), right_net.max_channel_bytes()}, send_logs,
-      frontier_, params,
-      opts_.pipeline ? exchange::ExchangeSchedule::kPipelined
-                     : exchange::ExchangeSchedule::kBarrier);
-  stats_.pipeline_overlap_us += sim.overlap_us;
-  for (size_t c : streamed) stats_.batches_streamed += c;
+  // Node j's join statement starts once the exchange delivered its input;
+  // the fused partial aggregate rides in that same statement (scan+agg was
+  // one statement on the aggregate path too).
+  stats_.pipeline_overlap_us += run.overlap_us;
+  if (opts_.pipeline) stats_.batches_streamed += run.batches_popped;
   for (int j = 0; j < n_; ++j) {
     // A spooled build partition pays its disk write + read on the owning
     // DN before the join statement can start.
-    SimTime arrival = sim.ready[static_cast<size_t>(j)];
+    SimTime arrival = run.ready[static_cast<size_t>(j)];
     size_t build_spill = slots[static_cast<size_t>(j)].build_spill_bytes;
     if (build_spill > 0) {
       arrival = cluster_->scheduler().Charge(
@@ -1670,11 +1604,9 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
           : 0;
   stats_.exchange_batches =
       left_net.CrossNodeBatches() + right_net.CrossNodeBatches();
-  // Spill as the replay modeled and charged it: equal to the channel
-  // counters under the barrier schedule, and deterministic under the
-  // pipelined one, where the real counters race the consumer threads.
-  stats_.spill_bytes = sim.spill_bytes;
-  stats_.spill_segments = sim.spill_segments;
+  stats_.spill_bytes = left_net.SpilledBytes() + right_net.SpilledBytes();
+  stats_.spill_segments =
+      left_net.SpillSegments() + right_net.SpillSegments();
   for (const auto& slot : slots) {
     stats_.build_spill_bytes += slot.build_spill_bytes;
   }
@@ -1700,6 +1632,8 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
       } else {
         it->bytes += ch.bytes;
         it->batches += ch.batches;
+        it->spilled_bytes += ch.spilled_bytes;
+        it->spill_segments += ch.spill_segments;
       }
       if (ch.src != ch.dst) {
         pending_metrics_.emplace_back(
@@ -2431,6 +2365,14 @@ std::string ExplainScanPaths(Cluster* cluster, const DistOpPtr& root) {
     }
   }
   return s;
+}
+
+ForceColumnarMaterializeForTesting::ForceColumnarMaterializeForTesting() {
+  g_force_materialize.store(true, std::memory_order_relaxed);
+}
+
+ForceColumnarMaterializeForTesting::~ForceColumnarMaterializeForTesting() {
+  g_force_materialize.store(false, std::memory_order_relaxed);
 }
 
 }  // namespace ofi::cluster

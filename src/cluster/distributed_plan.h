@@ -209,20 +209,15 @@ struct DistExecOptions {
   const optimizer::StatsRegistry* stats = nullptr;
   /// Forced join strategy; kAuto defers to the plan node, then to cost.
   JoinStrategy strategy_override = JoinStrategy::kAuto;
-  /// Bench/test knob: force the columnar materialize (Gather + row
-  /// aggregate) path even when the fused aggregate is kernel-eligible —
-  /// isolates kernel-vs-materialize cost on identical data and plans.
-  bool columnar_force_materialize = false;
-  /// The exchange schedule. Producers always stream batches into the
-  /// exchange as each partition fills (StreamingScatter) and consumers
-  /// always drain with blocking pops; this picks when consumers may start.
-  /// false (barrier): every producer closes, then every consumer runs.
-  /// true (pipelined): consumers drain concurrently, so the join probe /
-  /// final merge starts before the slowest producer finishes; the tasks run
-  /// on a dedicated pool of 2×(serving DNs) threads, so every blocking
-  /// consumer can coexist with every producer. Results are bit-identical;
-  /// only simulated latency changes (exchange::SimulateExchange replays the
-  /// schedule that ran, and the CN gather merges each DN as it finishes).
+  /// The exchange schedule: when a join's consumers may run in the
+  /// simulated-time exchange loop (exchange::RunExchange), whose producers
+  /// always stream batches as each partition fills.
+  /// false (barrier): consumer j starts once every channel into j has
+  /// closed (a remote close arrives one hop after that producer's last
+  /// encode). true (pipelined): consumers decode batches as they land, so
+  /// decoding overlaps the slowest producer, and the CN gather merges each
+  /// DN as it finishes. Results are bit-identical; only simulated latency
+  /// and spill change.
   bool pipeline = false;
 };
 
@@ -265,8 +260,9 @@ struct DistExecStats {
   size_t result_bytes = 0;
   size_t exchange_batches = 0;
   /// Exchange payload spilled to temp files by capped channels (loopback
-  /// included — the disk I/O is real even for the local partition), as the
-  /// latency replay modeled and charged it (exchange::SimulateExchange).
+  /// included — the disk I/O is real even for the local partition): the
+  /// channels' own counters, which the exchange loop charges as spill I/O
+  /// and which are the same on every run under either schedule.
   size_t spill_bytes = 0;
   size_t spill_segments = 0;
   /// Join build partitions spooled to disk under max_build_bytes, summed
@@ -342,5 +338,20 @@ std::vector<int> ServingDns(Cluster* cluster);
 
 const char* ToString(JoinStrategy s);
 const char* ToString(ScanPath p);
+
+/// Test/bench seam, not a query knob: while one is alive, a fused columnar
+/// aggregate the grouped kernel could serve takes the materialize (Gather +
+/// row aggregate) path instead, reported as "columnar(materialize:forced)".
+/// Isolates kernel-vs-materialize cost on identical data and plans.
+/// Process-wide.
+class ForceColumnarMaterializeForTesting {
+ public:
+  ForceColumnarMaterializeForTesting();
+  ~ForceColumnarMaterializeForTesting();
+  ForceColumnarMaterializeForTesting(
+      const ForceColumnarMaterializeForTesting&) = delete;
+  ForceColumnarMaterializeForTesting& operator=(
+      const ForceColumnarMaterializeForTesting&) = delete;
+};
 
 }  // namespace ofi::cluster

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 
@@ -344,7 +343,6 @@ Status ExchangeChannel::Send(std::string batch, const SendLimits& limits) {
     bytes_ += size;
     ++batches_;
     queue_.push_back(MemBatch{++send_seq_, std::move(batch)});
-    cv_.notify_one();
     return Status::OK();
   }
   const ExchangeSpillConfig* spill = limits.spill;
@@ -373,7 +371,6 @@ Status ExchangeChannel::Send(std::string batch, const SendLimits& limits) {
   ++batches_;
   spilled_bytes_ += size;
   ++spill_segments_;
-  cv_.notify_one();
   return Status::OK();
 }
 
@@ -406,36 +403,12 @@ Result<std::optional<std::string>> ExchangeChannel::PopBatch() {
   return std::optional<std::string>(std::move(batch));
 }
 
-Result<std::optional<std::string>> ExchangeChannel::PopBatchWait(
-    int64_t timeout_ms) {
-  std::unique_lock lock(mu_);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (true) {
-    if (closed_ && !close_status_.ok()) return close_status_;
-    if (!queue_.empty() || !spill_segs_.empty()) {
-      OFI_ASSIGN_OR_RETURN(std::string batch, PopLocked());
-      return std::optional<std::string>(std::move(batch));
-    }
-    if (closed_) return std::optional<std::string>();  // clean end-of-stream
-    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      return Status::TimedOut("exchange channel: no batch and no close after " +
-                              std::to_string(timeout_ms) + " ms");
-    }
-  }
-}
-
 void ExchangeChannel::Close(Status st) {
-  {
-    std::lock_guard lock(mu_);
-    if (!closed_) {
-      closed_ = true;
-      close_status_ = std::move(st);
-    } else if (close_status_.ok() && !st.ok()) {
-      close_status_ = std::move(st);
-    }
+  std::lock_guard lock(mu_);
+  if (!closed_ || (close_status_.ok() && !st.ok())) {
+    closed_ = true;
+    close_status_ = std::move(st);
   }
-  cv_.notify_all();
 }
 
 Result<std::vector<std::string>> ExchangeChannel::Drain() {
@@ -519,16 +492,13 @@ void ExchangeChannel::RollbackTo(const Checkpoint& cp) {
 
 // --- ExchangeNetwork ---------------------------------------------------------
 
-Result<std::vector<Row>> ExchangeNetwork::ReceiveRowsWait(
-    int dst, int64_t timeout_ms, size_t* batches_out) {
+Result<std::vector<Row>> ExchangeNetwork::ReceiveRows(int dst) {
   std::vector<Row> out;
   for (int src = 0; src < n_; ++src) {
     ExchangeChannel& ch = channel(src, dst);
     while (true) {
-      OFI_ASSIGN_OR_RETURN(std::optional<std::string> batch,
-                           ch.PopBatchWait(timeout_ms));
+      OFI_ASSIGN_OR_RETURN(std::optional<std::string> batch, ch.PopBatch());
       if (!batch.has_value()) break;
-      if (batches_out != nullptr) ++*batches_out;
       OFI_ASSIGN_OR_RETURN(std::vector<Row> rows, DecodeBatch(*batch));
       for (auto& r : rows) out.push_back(std::move(r));
     }
@@ -547,7 +517,8 @@ std::vector<ChannelStats> ExchangeNetwork::Stats() const {
       const ExchangeChannel& ch = channel(src, dst);
       size_t batches = ch.batches();
       if (batches == 0) continue;
-      out.push_back(ChannelStats{src, dst, ch.bytes(), batches});
+      out.push_back(ChannelStats{src, dst, ch.bytes(), batches,
+                                 ch.spilled_bytes(), ch.spill_segments()});
     }
   }
   return out;
@@ -622,11 +593,13 @@ size_t ExchangeNetwork::AbortedBytes() const {
 // --- StreamingScatter --------------------------------------------------------
 
 StreamingScatter::StreamingScatter(ExchangeNetwork* net, int src,
-                                   std::optional<size_t> key_idx)
+                                   std::optional<size_t> key_idx,
+                                   OnFlush on_flush)
     : net_(net),
       src_(src),
       key_idx_(key_idx),
       limits_(net->send_limits()),
+      on_flush_(std::move(on_flush)),
       pending_(static_cast<size_t>(net->num_nodes())) {}
 
 Status StreamingScatter::Push(const Row& row) {
@@ -663,22 +636,18 @@ Status StreamingScatter::FlushDst(int dst) {
   std::string batch = EncodeBatch(rows, 0, rows.size());
   const size_t bytes = batch.size();
   OFI_RETURN_NOT_OK(net_->channel(src_, dst).Send(std::move(batch), limits_));
-  log_.push_back(SendRec{dst, bytes});
   rows.clear();
+  if (on_flush_) on_flush_(dst, bytes);
   return Status::OK();
 }
 
 Status ScatterRows(ExchangeNetwork* net, int src, const std::vector<Row>& rows,
-                   std::optional<size_t> key_idx, int net_idx,
-                   std::vector<SentBatch>* log) {
+                   std::optional<size_t> key_idx) {
   ScatterGuard guard(net, src);
   StreamingScatter scatter(net, src, key_idx);
   for (const Row& row : rows) OFI_RETURN_NOT_OK(scatter.Push(row));
   OFI_RETURN_NOT_OK(scatter.Finish());
   guard.Commit();
-  for (const auto& rec : scatter.send_log()) {
-    log->push_back(SentBatch{net_idx, rec.dst, rec.bytes});
-  }
   return Status::OK();
 }
 
@@ -695,28 +664,23 @@ SimTime SpillServiceTime(size_t bytes, const ExchangeLatencyParams& p) {
   return kib * (p.spill_write_kb_us + p.spill_read_kb_us);
 }
 
-ExchangeSimResult SimulateExchange(
-    SimScheduler* scheduler, const std::vector<int>& node_resources,
-    const std::vector<size_t>& channel_caps,
-    const std::vector<std::vector<SentBatch>>& send_logs,
-    const std::vector<SimTime>& start, const ExchangeLatencyParams& p,
-    ExchangeSchedule schedule) {
-  const bool pipelined = schedule == ExchangeSchedule::kPipelined;
+ExchangeRun RunExchange(const std::vector<ExchangeNetwork*>& nets,
+                        const std::vector<std::vector<ScatterInput>>& inputs,
+                        SimScheduler* scheduler,
+                        const std::vector<int>& node_resources,
+                        const std::vector<SimTime>& start,
+                        const ExchangeLatencyParams& p,
+                        ExchangeSchedule schedule) {
   const size_t n = node_resources.size();
-  const size_t nk = channel_caps.size();
-  ExchangeSimResult out;
+  const size_t nk = nets.size();
+  ExchangeRun out;
+  out.rows.assign(nk, std::vector<std::vector<Row>>(n));
+  out.producer_status.assign(n, Status::OK());
+  out.consumer_status.assign(n, Status::OK());
   out.ready.assign(n, 0);
   out.producer_done.assign(n, 0);
   out.first_consume.assign(n, 0);
 
-  struct Batch {
-    size_t bytes = 0;
-    SimTime sent = 0;  // producer finished encoding it
-    SimTime pop = 0;   // provisional consumer drain completion
-  };
-  // chan[net][src * n + dst], batches in send order.
-  std::vector<std::vector<std::vector<Batch>>> chan(
-      nk, std::vector<std::vector<Batch>>(n * n));
   // Per-batch encode/decode service with telescoped cumulative KiB: a
   // node's per-batch charges add up to ExchangeServiceTime of its total.
   auto service = [&p](size_t* cum, size_t bytes) {
@@ -730,136 +694,198 @@ ExchangeSimResult SimulateExchange(
   };
   auto hop = [&p](size_t i, size_t j) { return i == j ? 0 : p.network_hop_us; };
 
-  // Producers: per-batch encode charges in send order, cross-node only.
-  for (size_t i = 0; i < n; ++i) {
-    SimTime cursor = start[i];
-    size_t cum = 0;
-    for (const SentBatch& rec : send_logs[i]) {
-      const size_t dst = static_cast<size_t>(rec.dst);
-      if (dst != i) {
-        cursor = scheduler->Charge(node_resources[i], cursor,
-                                   service(&cum, rec.bytes));
-      }
-      chan[static_cast<size_t>(rec.net)][i * n + dst].push_back(
-          Batch{rec.bytes, cursor, 0});
-    }
-    out.producer_done[i] = cursor;
-  }
-
-  // The earliest instant consumer j may decode anything. Under the barrier
-  // schedule that is after its own scatter and after the slowest producer
-  // sending to it (+1 hop); the pipelined schedule gates per batch only.
-  std::vector<SimTime> gate(start.begin(), start.end());
-  if (!pipelined) {
-    for (size_t j = 0; j < n; ++j) {
-      gate[j] = std::max(gate[j], out.producer_done[j]);
-      for (size_t i = 0; i < n; ++i) {
-        bool sends = false;
-        for (size_t k = 0; k < nk; ++k) sends |= !chan[k][i * n + j].empty();
-        if (i != j && sends) {
-          gate[j] = std::max(gate[j], out.producer_done[i] + hop(i, j));
-        }
-      }
-    }
-  }
-  auto arrival = [&](const Batch& b, size_t i, size_t j) {
-    return std::max(gate[j], b.sent + hop(i, j));
+  struct Producer {
+    SimTime clock = 0;  // end of its latest encode
+    size_t cum = 0;     // cross-node bytes encoded so far
+    size_t input = 0;   // entry of inputs[i] being streamed
+    size_t row = 0;     // next row of that entry
+    std::optional<ScatterGuard> guard;
+    std::optional<StreamingScatter> scatter;
+    bool done = false;  // closed its channels
+  };
+  struct Consumer {
+    SimTime clock = 0;  // end of its latest decode or observed close
+    size_t cum = 0;     // cross-node bytes decoded so far
+    size_t net = 0;     // drain cursor: net-major, then source node
+    size_t src = 0;
+    SimTime first = -1;  // start of its first decode charge
+    bool done = false;
+  };
+  std::vector<Producer> prod(n);
+  std::vector<Consumer> cons(n);
+  for (size_t i = 0; i < n; ++i) prod[i].clock = cons[i].clock = start[i];
+  size_t open_producers = n;
+  // arrival[(k * n + i) * n + j]: when each batch queued on net k's i->j
+  // channel may be popped, in the channel's FIFO order.
+  std::vector<std::deque<SimTime>> arrival(nk * n * n);
+  auto arrivals = [&](size_t k, size_t i, size_t j) -> std::deque<SimTime>& {
+    return arrival[(k * n + i) * n + j];
   };
 
-  // Provisional drain times (plain arithmetic, no charges): each consumer
-  // walks its deterministic drain order; a batch is popped at
-  // max(cursor, arrival) plus its decode service. Used only to model the
-  // in-memory window occupancy for the spill decision below.
-  for (size_t j = 0; j < n; ++j) {
-    SimTime cur = gate[j];
-    size_t cum = 0;
-    for (size_t k = 0; k < nk; ++k) {
-      for (size_t i = 0; i < n; ++i) {
-        for (Batch& b : chan[k][i * n + j]) {
-          cur = std::max(cur, arrival(b, i, j));
-          if (i != j) cur += service(&cum, b.bytes);
-          b.pop = cur;
+  auto close = [&](size_t i, Status st) {
+    prod[i].done = true;
+    out.producer_done[i] = prod[i].clock;
+    for (ExchangeNetwork* net : nets) net->CloseAllFrom(static_cast<int>(i), st);
+    out.producer_status[i] = std::move(st);
+    if (--open_producers == 0 && schedule == ExchangeSchedule::kBarrier) {
+      // The barrier opens: each consumer starts once the last close into
+      // it has arrived.
+      for (size_t j = 0; j < n; ++j) {
+        for (size_t s = 0; s < n; ++s) {
+          cons[j].clock =
+              std::max(cons[j].clock, out.producer_done[s] + hop(s, j));
         }
       }
+    }
+  };
+
+  // Producer step: stream rows until at least one batch flushes (or the
+  // producer closes), charging each cross-node batch's encode.
+  bool flushed = false;
+  auto produce = [&](size_t i) {
+    Producer& pr = prod[i];
+    flushed = false;
+    while (!flushed) {
+      if (pr.input == inputs[i].size()) {
+        close(i, Status::OK());
+        return;
+      }
+      const ScatterInput& in = inputs[i][pr.input];
+      if (!pr.scatter) {
+        pr.guard.emplace(nets[in.net], static_cast<int>(i));
+        pr.scatter.emplace(
+            nets[in.net], static_cast<int>(i), in.key_idx,
+            [&, i, k = in.net](int dst, size_t bytes) {
+              const size_t j = static_cast<size_t>(dst);
+              if (j != i) {
+                prod[i].clock = scheduler->Charge(
+                    node_resources[i], prod[i].clock,
+                    service(&prod[i].cum, bytes));
+              }
+              arrivals(k, i, j).push_back(prod[i].clock + hop(i, j));
+              flushed = true;
+            });
+        pr.row = 0;
+      }
+      const bool finishing = pr.row == in.rows->size();
+      Status st = finishing ? pr.scatter->Finish()
+                            : pr.scatter->Push((*in.rows)[pr.row++]);
+      if (!st.ok() || finishing) {
+        if (st.ok()) pr.guard->Commit();
+        pr.scatter.reset();
+        pr.guard.reset();  // rolls a failed input's sends back
+        if (!st.ok()) {
+          close(i, std::move(st));
+          return;
+        }
+        ++pr.input;
+      }
+    }
+  };
+
+  // When consumer j's next step is due; nullopt while it waits on an open,
+  // empty channel (under the barrier schedule, on any open producer).
+  // Passing a drained, cleanly closed channel takes no step: the consumer
+  // notes the close, seen one hop after that producer's last encode.
+  auto due = [&](size_t j) -> std::optional<SimTime> {
+    Consumer& c = cons[j];
+    if (schedule == ExchangeSchedule::kBarrier && open_producers > 0) {
+      return std::nullopt;
+    }
+    while (c.net < nk) {
+      const std::deque<SimTime>& q = arrivals(c.net, c.src, j);
+      if (!q.empty()) return std::max(c.clock, q.front());
+      if (!prod[c.src].done) return std::nullopt;
+      c.clock = std::max(c.clock, out.producer_done[c.src] + hop(c.src, j));
+      if (!out.producer_status[c.src].ok()) return c.clock;  // pop fails
+      if (++c.src == n) {
+        c.src = 0;
+        ++c.net;
+      }
+    }
+    return c.clock;  // every channel drained and closed: finish
+  };
+
+  auto finish = [&](size_t j, Status st) {
+    Consumer& c = cons[j];
+    c.done = true;
+    out.consumer_status[j] = std::move(st);
+    out.ready[j] = c.clock;
+    out.first_consume[j] = c.first >= 0 ? c.first : c.clock;
+  };
+
+  // Consumer step at `at`: pop and decode the next batch, or — input
+  // complete — pay the spill I/O of everything that reached j via disk.
+  auto consume = [&](size_t j, SimTime at) {
+    Consumer& c = cons[j];
+    c.clock = at;
+    if (c.net == nk) {
+      size_t spilled = 0;
+      for (const ExchangeNetwork* net : nets) {
+        spilled += net->SpilledInBytes(static_cast<int>(j));
+      }
+      if (spilled > 0) {
+        c.clock = scheduler->Charge(node_resources[j], c.clock,
+                                    SpillServiceTime(spilled, p));
+      }
+      finish(j, Status::OK());
+      return;
+    }
+    auto batch = nets[c.net]
+                     ->channel(static_cast<int>(c.src), static_cast<int>(j))
+                     .PopBatch();
+    if (!batch.ok()) {
+      finish(j, batch.status());
+      return;
+    }
+    arrivals(c.net, c.src, j).pop_front();
+    ++out.batches_popped;
+    const std::string& payload = **batch;
+    if (c.src != j) {
+      const SimTime s = service(&c.cum, payload.size());
+      c.clock = scheduler->Charge(node_resources[j], c.clock, s);
+      if (c.first < 0) c.first = c.clock - s;
+    }
+    auto rows = DecodeBatch(payload);
+    if (!rows.ok()) {
+      finish(j, rows.status());
+      return;
+    }
+    std::vector<Row>& dst_rows = out.rows[c.net][j];
+    for (Row& r : *rows) dst_rows.push_back(std::move(r));
+  };
+
+  // Always run the due step with the smallest simulated time; ties go to
+  // producers, then to the lower node id.
+  while (true) {
+    size_t next = 2 * n;  // producers are 0..n-1, consumers n..2n-1
+    SimTime next_at = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (!prod[i].done && (next == 2 * n || prod[i].clock < next_at)) {
+        next = i;
+        next_at = prod[i].clock;
+      }
+    }
+    for (size_t j = 0; j < n; ++j) {
+      if (cons[j].done) continue;
+      std::optional<SimTime> at = due(j);
+      if (at.has_value() && (next == 2 * n || *at < next_at)) {
+        next = n + j;
+        next_at = *at;
+      }
+    }
+    if (next == 2 * n) break;  // every producer and consumer finished
+    if (next < n) {
+      produce(next);
+    } else {
+      consume(next - n, next_at);
     }
   }
 
-  // Modeled spill: replay each capped channel's window in send order. A
-  // batch spills when the in-memory window would overflow at its send time,
-  // or an earlier spilled batch is still on disk then (FIFO: memory never
-  // overtakes disk). Under the barrier schedule nothing pops before every
-  // send is done, so the window only fills — exactly the channel's own
-  // counters. Under the pipelined one the model is deterministic, unlike
-  // the real counters, which depend on how far the consumer thread
-  // happened to lag the producer.
-  std::vector<size_t> spilled_in(n, 0);
-  for (size_t k = 0; k < nk; ++k) {
-    const size_t cap = channel_caps[k];
-    if (cap == 0) continue;
-    for (size_t c = 0; c < n * n; ++c) {
-      const std::vector<Batch>& batches = chan[k][c];
-      size_t mem = 0;  // window occupancy at the current send time
-      size_t lo = 0;   // first batch not yet provisionally popped
-      std::vector<bool> spilled(batches.size(), false);
-      SimTime last_spill_pop = -1;
-      for (size_t bi = 0; bi < batches.size(); ++bi) {
-        const Batch& b = batches[bi];
-        while (pipelined && lo < bi && batches[lo].pop <= b.sent) {
-          if (!spilled[lo]) mem -= batches[lo].bytes;
-          ++lo;
-        }
-        if (last_spill_pop > b.sent || mem + b.bytes > cap) {
-          spilled[bi] = true;
-          spilled_in[c % n] += b.bytes;
-          ++out.spill_segments;
-          last_spill_pop = std::max(last_spill_pop, b.pop);
-        } else {
-          mem += b.bytes;
-        }
-      }
-    }
-  }
-
-  // Final consumer replay with real charges: gap-fitting on the node's own
-  // resource serializes its decode against its own encode (a DN cannot
-  // overlap with itself), which is exactly why a skewed producer — not a
-  // uniform one — is where pipelining wins.
-  SimTime global_prod_end = 0;
-  for (SimTime d : out.producer_done) {
-    global_prod_end = std::max(global_prod_end, d);
-  }
-  for (size_t j = 0; j < n; ++j) {
-    SimTime cur = gate[j];
-    size_t cum = 0;
-    SimTime first = -1;
-    for (size_t k = 0; k < nk; ++k) {
-      for (size_t i = 0; i < n; ++i) {
-        for (const Batch& b : chan[k][i * n + j]) {
-          cur = std::max(cur, arrival(b, i, j));
-          if (i == j) continue;
-          const SimTime s = service(&cum, b.bytes);
-          cur = scheduler->Charge(node_resources[j], cur, s);
-          if (first < 0) first = cur - s;
-        }
-      }
-    }
-    if (spilled_in[j] > 0) {
-      cur = scheduler->Charge(node_resources[j], cur,
-                              SpillServiceTime(spilled_in[j], p));
-      out.spill_bytes += spilled_in[j];
-    }
-    if (pipelined) {
-      // The consumer cannot finish draining a channel before observing its
-      // close, which the producer posts after its whole scatter.
-      for (size_t i = 0; i < n; ++i) {
-        cur = std::max(cur, out.producer_done[i] + hop(i, j));
-      }
-      if (first >= 0) {
-        out.overlap_us += std::max<SimTime>(0, global_prod_end - first);
-      }
-    }
-    out.ready[j] = cur;
-    out.first_consume[j] = first >= 0 ? first : cur;
+  SimTime last_close = 0;
+  for (SimTime d : out.producer_done) last_close = std::max(last_close, d);
+  for (const Consumer& c : cons) {
+    if (c.first >= 0) out.overlap_us += std::max<SimTime>(0, last_close - c.first);
   }
   return out;
 }

@@ -30,25 +30,25 @@
 /// ResourceExhausted, and a capped channel with no spill config denies
 /// outright.
 ///
-/// There is one executor and one simulator. Producers always stream
-/// (StreamingScatter) and consumers always drain with blocking pops
-/// (ReceiveRowsWait); an ExchangeSchedule only decides when consumers may
-/// start — after every producer has closed (barrier) or alongside them
-/// (pipelined). SimulateExchange replays the producers' send logs under
-/// the same schedule: every node serializes its encode and decode work on
-/// its own resource (per-batch overhead + per-KiB payload cost, see
-/// LatencyModel), and under the barrier schedule node j starts decoding
-/// when the slowest sender shipping to it has finished plus one network
-/// hop — the max-over-DNs scatter of cluster/distributed_plan.h, not the
-/// serial sum over nodes. Spilled bytes additionally charge a disk write +
-/// read per KiB on the receiving node's resource.
+/// RunExchange both executes and times an exchange: one single-threaded
+/// loop in simulated time advances whichever producer step (stream rows
+/// until a batch flushes, charge its encode) or consumer step (pop the next
+/// batch once it has arrived, charge its decode) is due first. Every node
+/// serializes its encode and decode work on its own resource (per-batch
+/// overhead + per-KiB payload cost, see LatencyModel), so the exchange is
+/// the max-over-DNs scatter of cluster/distributed_plan.h, not the serial
+/// sum over nodes. An ExchangeSchedule only decides when consumers may run:
+/// as batches land (pipelined) or once every channel into the node has
+/// closed (barrier). Because sends and pops hit the real channels at their
+/// simulated times, the channels' own spill counters are the spill the
+/// simulation charges, and every figure is the same on every run.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -177,11 +177,15 @@ struct ChannelStats {
   int dst = 0;
   size_t bytes = 0;
   size_t batches = 0;
+  /// Part of `bytes` that went through the spill file, and in how many
+  /// segments.
+  size_t spilled_bytes = 0;
+  size_t spill_segments = 0;
 };
 
 /// \brief One directed src->dst streaming mailbox carrying serialized
-/// batches. Thread-safe: senders run on thread-pool workers. FIFO: receive
-/// order is always send order, spilled or not.
+/// batches. Mutex-guarded, so it stays safe to share across threads. FIFO:
+/// receive order is always send order, spilled or not.
 ///
 /// The in-memory queue is bounded by SendLimits::max_queued_bytes
 /// (backpressure): an over-cap Send spills the batch to the channel's temp
@@ -203,8 +207,8 @@ class ExchangeChannel {
   /// channel scatter (see ScatterGuard). Every queued
   /// batch and spill segment carries the monotone send sequence number it
   /// was accepted under, so RollbackTo drops exactly the batches sent after
-  /// the Mark — even when a concurrent consumer drained some of them in
-  /// between (the pipelined producer-fails-mid-stream path).
+  /// the Mark — even when a consumer drained some of them in between (the
+  /// pipelined producer-fails-mid-stream path).
   struct Checkpoint {
     size_t batches = 0;
     size_t bytes = 0;
@@ -229,18 +233,10 @@ class ExchangeChannel {
   /// that status — a consumer never sees a silently truncated stream.
   Result<std::optional<std::string>> PopBatch();
 
-  /// Blocking pop for consumers: waits (condition-variable
-  /// wakeup on Send/Close — no spinning) until a batch is available, the
-  /// channel is closed, or `timeout_ms` elapses. Returns the batch; nullopt
-  /// on clean end-of-stream (closed with OK and fully drained); the close
-  /// status when the producer failed (even if undelivered batches remain —
-  /// fail fast, never hand out a partial stream); TimedOut on deadline.
-  Result<std::optional<std::string>> PopBatchWait(int64_t timeout_ms);
-
-  /// Marks the stream complete. Close(OK) lets waiting consumers drain the
+  /// Marks the stream complete. Close(OK) lets consumers drain the
   /// remaining payload and then see end-of-stream; Close(error) propagates
-  /// the producer's failure to every current and future pop. Idempotent;
-  /// the first non-OK status wins (a later OK close never masks it).
+  /// the producer's failure to every later pop. Idempotent; the first
+  /// non-OK status wins (a later OK close never masks it).
   void Close(Status st = Status::OK());
 
   bool closed() const {
@@ -323,7 +319,6 @@ class ExchangeChannel {
   Result<std::string> PopLocked();
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;     // signaled on Send and Close
   std::deque<MemBatch> queue_;     // in-memory window (oldest first)
   std::deque<Seg> spill_segs_;     // on-disk overflow, newer than everything in queue_
   SpillFile spill_;
@@ -374,17 +369,13 @@ class ExchangeNetwork {
     return channels_[static_cast<size_t>(src) * n_ + dst];
   }
 
-  /// Streams and decodes everything addressed to `dst`: drains each source
-  /// channel with PopBatchWait until its producer closes it, concatenated
-  /// in source-node order then send order — so the decoded rows are
-  /// bit-identical regardless of producer/consumer thread interleaving,
-  /// spilled or not. Once every producer has closed it never waits.
+  /// Decodes every batch queued for `dst` now, in source-node order then
+  /// send order — the same rows in the same order whether or not they
+  /// spilled. Never waits: call it once the producers have closed.
   /// Consumed spill segments free their budget; a channel's spill file is
-  /// deleted the moment its last segment is read. Fails with the producer's
-  /// close status, or TimedOut when a channel stays open past `timeout_ms`.
-  /// `batches_out` (optional) accumulates the number of batches drained.
-  Result<std::vector<sql::Row>> ReceiveRowsWait(int dst, int64_t timeout_ms,
-                                                size_t* batches_out = nullptr);
+  /// deleted the moment its last segment is read. Fails with a producer's
+  /// error close status.
+  Result<std::vector<sql::Row>> ReceiveRows(int dst);
 
   /// Closes every channel out of `src` with `st` (producer completion or
   /// failure — see ExchangeChannel::Close).
@@ -425,9 +416,9 @@ class ExchangeNetwork {
 /// of `src` at construction and rolls all of them back unless Commit() is
 /// called — a failed scatter leaves no queued payload and no inflated
 /// byte/batch accounting behind (the dropped payload lands in
-/// AbortedBytes). Safe under concurrent consumers: rollback drops exactly
-/// the post-mark batches (by send sequence), and payload a consumer already
-/// drained is still subtracted from the lifetime accounting.
+/// AbortedBytes). Rollback drops exactly the post-mark batches (by send
+/// sequence), and payload a consumer already drained is still subtracted
+/// from the lifetime accounting.
 class ScatterGuard {
  public:
   ScatterGuard(ExchangeNetwork* net, int src) : net_(net), src_(src) {
@@ -454,8 +445,8 @@ class ScatterGuard {
 
 /// \brief The one exchange producer: rows are routed one at a time and each
 /// destination's batch is flushed into its channel the moment batch_rows()
-/// have accumulated, so a concurrent consumer can start decoding while the
-/// producer is still scanning. Hash-repartition routes a row to node
+/// have accumulated, so a consumer can start decoding while the producer is
+/// still scanning. Hash-repartition routes a row to node
 /// HashForPartition(row[key_idx]) % num_nodes (rows with NULL keys are
 /// routed like any other value; an inner join drops them at the probe);
 /// broadcast sends every row to every node, the loopback copy included, so
@@ -464,27 +455,21 @@ class ScatterGuard {
 /// the framing depends only on the rows, never on the schedule. Run it
 /// under a ScatterGuard so a failed scatter leaves no payload behind.
 ///
-/// Not thread-safe: one StreamingScatter per producer task. The send log
-/// records every flushed batch in producer send order for the
-/// deterministic latency replay (SimulateExchange).
+/// Not thread-safe: one StreamingScatter per producer.
 class StreamingScatter {
  public:
-  /// One flushed batch, in producer send order.
-  struct SendRec {
-    int dst = 0;
-    size_t bytes = 0;
-  };
+  /// Called after each batch a channel accepted, with its destination and
+  /// payload size (RunExchange charges the encode here).
+  using OnFlush = std::function<void(int dst, size_t bytes)>;
 
   /// Broadcast when `key_idx` is nullopt, hash-repartition otherwise.
   StreamingScatter(ExchangeNetwork* net, int src,
-                   std::optional<size_t> key_idx);
+                   std::optional<size_t> key_idx, OnFlush on_flush = {});
 
   /// Routes one row; may flush one or more full batches.
   Status Push(const sql::Row& row);
   /// Flushes every destination's partial tail batch.
   Status Finish();
-
-  const std::vector<SendRec>& send_log() const { return log_; }
 
  private:
   Status FlushDst(int dst);
@@ -493,38 +478,26 @@ class StreamingScatter {
   int src_;
   std::optional<size_t> key_idx_;  // nullopt = broadcast
   ExchangeChannel::SendLimits limits_;
+  OnFlush on_flush_;
   std::vector<std::vector<sql::Row>> pending_;  // per dst
-  std::vector<SendRec> log_;
 };
 
-/// One batch in a producer's send order: which network (index into the
-/// replay's `channel_caps`), which destination, how many payload bytes.
-struct SentBatch {
-  int net = 0;
-  int dst = 0;
-  size_t bytes = 0;
-};
-
-/// The producer operator: streams `rows` out of node `src` through a
+/// Streams all of `rows` out of node `src` at once through a
 /// StreamingScatter (hash-repartition on `key_idx`, broadcast when nullopt)
 /// under a ScatterGuard, so a failed scatter leaves no queued payload and
-/// no inflated accounting behind (the payload lands in AbortedBytes). On
-/// success appends every flushed batch to `log`, tagged `net_idx`. Does not
-/// close the channels: the caller closes them with the outcome.
+/// no inflated accounting behind (the payload lands in AbortedBytes). Does
+/// not close the channels.
 Status ScatterRows(ExchangeNetwork* net, int src,
                    const std::vector<sql::Row>& rows,
-                   std::optional<size_t> key_idx, int net_idx,
-                   std::vector<SentBatch>* log);
+                   std::optional<size_t> key_idx);
 
-// --- Simulated latency -------------------------------------------------------
+// --- The exchange loop -------------------------------------------------------
 
-/// When consumers may drain relative to producers. The join executor runs
-/// one and hands the same value to the replay, so the simulated schedule is
-/// the one that ran.
+/// When consumers may run relative to producers.
 enum class ExchangeSchedule {
-  /// Every producer closes before any consumer pops.
+  /// A consumer runs once every channel into its node has closed.
   kBarrier,
-  /// Producers and consumers run together; consumers drain as batches land.
+  /// A consumer drains each batch as it lands.
   kPipelined,
 };
 
@@ -545,59 +518,74 @@ SimTime ExchangeServiceTime(size_t bytes, size_t batches,
 /// back (both halves are paid by the node that owns the spill file).
 SimTime SpillServiceTime(size_t bytes, const ExchangeLatencyParams& p);
 
-/// Result of the exchange replay (per node, indexes match node_resources).
-struct ExchangeSimResult {
+/// One relation a producer streams into the exchange.
+struct ScatterInput {
+  size_t net = 0;  // index into RunExchange's `nets`
+  const std::vector<sql::Row>* rows = nullptr;
+  std::optional<size_t> key_idx;  // nullopt = broadcast
+};
+
+/// What RunExchange delivered and when (per node, indexes match
+/// node_resources).
+struct ExchangeRun {
+  /// rows[k][j]: every row net k delivered to node j, in drain order.
+  std::vector<std::vector<std::vector<sql::Row>>> rows;
+  /// Producer i's scatter outcome; a failed scatter was rolled back and
+  /// closed its channels with this status.
+  std::vector<Status> producer_status;
+  /// Consumer j's outcome (a producer's error close, a corrupt batch or
+  /// spill segment); rows[*][j] is incomplete unless it is OK.
+  std::vector<Status> consumer_status;
   /// Input fully decoded (and spill paid): when the consumer-side
   /// join/merge may start.
   std::vector<SimTime> ready;
-  /// Producer i finished encoding its last batch (its scatter frontier).
+  /// Producer i finished encoding its last batch and closed its channels.
   std::vector<SimTime> producer_done;
   /// Start of the node's first decode charge (ready[j] when it decodes
-  /// nothing) — the consumer frontier the overlap test pins down.
+  /// nothing).
   std::vector<SimTime> first_consume;
-  /// Sum over consumers of (global producer completion - first_consume),
-  /// clamped at 0: the simulated time consumers ran while producers were
-  /// still producing. 0 under the barrier schedule by construction.
+  /// Sum over consumers of (last producer close - first_consume), clamped
+  /// at 0: the simulated time consumers ran while producers were still
+  /// producing. 0 under the barrier schedule by construction.
   SimTime overlap_us = 0;
-  /// Payload and batches the modeled channel windows spilled (see below).
-  size_t spill_bytes = 0;
-  size_t spill_segments = 0;
+  /// Batches consumers popped, loopback included.
+  size_t batches_popped = 0;
 };
 
-/// Replays an exchange deterministically after the (possibly racy) real
-/// execution, charging per-batch work on the per-node serialized resources:
+/// Executes an exchange and charges it in simulated time, in one
+/// deterministic single-threaded loop. Producer i streams `inputs[i]` in
+/// order, each through a StreamingScatter under a ScatterGuard, then closes
+/// its channels on every net (with the error on failure). Consumer j drains
+/// net-major, then source-node order, then send order. The loop always runs
+/// the due step with the smallest simulated time (ties: producers first,
+/// then lower node id):
 ///
-/// * Producer i charges each cross-node batch's encode cost sequentially on
-///   its own resource from start[i]; the charge uses telescoped cumulative
-///   KiB, so the total equals ExchangeServiceTime over its whole cross-node
-///   output. Loopback batches charge nothing but advance availability.
-/// * Availability at consumer j: under kPipelined a batch is available one
-///   network hop (none for loopback) after its encode; under kBarrier every
-///   batch bound for j is available once the last producer that sends to
-///   j has finished (+1 hop), and not before j's own start and scatter end.
-///   That is the max-over-senders structure that keeps the exchange flat
-///   in N while a chained model grows linearly.
-/// * Consumer j replays its deterministic drain order (net-major, then
-///   source-node order, then send order); each cross-node batch's decode is
-///   charged at max(consumer cursor, availability) — gap-fitting on j's own
-///   resource, so a node's encode and decode serialize against each other
-///   (a DN cannot overlap with itself).
-/// * Channel caps are modeled, not measured: a batch spills iff the
-///   in-memory window would overflow at its send time given the replayed
-///   drain times, or an earlier spilled batch is still on disk (FIFO).
-///   Under kBarrier nothing drains before every send is done, so the model
-///   equals the channel counters; under kPipelined the real counters race
-///   the consumer threads and the model is the deterministic figure.
-///   Spilled bytes entering j (loopback included) charge SpillServiceTime
-///   on j's resource after its decodes.
-/// * Under kPipelined ready[j] additionally waits for every producer's
-///   close (+hop for remote producers): the real consumer cannot finish a
-///   channel before observing its close.
-ExchangeSimResult SimulateExchange(
-    SimScheduler* scheduler, const std::vector<int>& node_resources,
-    const std::vector<size_t>& channel_caps,
-    const std::vector<std::vector<SentBatch>>& send_logs,
-    const std::vector<SimTime>& start, const ExchangeLatencyParams& p,
-    ExchangeSchedule schedule);
+/// * A producer step starts at the end of the producer's previous encode
+///   (start[i] at first) and pushes rows until at least one batch flushes.
+///   Each flushed cross-node batch charges its encode on the producer's
+///   resource; the charge uses telescoped cumulative KiB, so the total
+///   equals ExchangeServiceTime over its whole cross-node output. A batch
+///   arrives one network hop after its encode ends (loopback: when it is
+///   flushed, with no charge and no hop).
+/// * A consumer step pops the next batch no earlier than its arrival and
+///   charges the decode of a cross-node batch on the consumer's resource,
+///   telescoped the same way. Sharing the resource serializes a node's
+///   decodes against its own encodes. A consumer whose next channel is
+///   empty and still open waits until that producer sends to it or closes;
+///   a remote close is seen one hop after the producer's last encode.
+/// * kPipelined lets consumer j run from start[j]; kBarrier holds it until
+///   every channel into j has closed.
+/// * Sends and pops hit the real channels in this order, so a capped
+///   channel spills exactly when its in-memory window is full at that
+///   simulated instant, and the channels' spill counters are the figure.
+///   The spilled bytes entering j (loopback included) charge
+///   SpillServiceTime on j's resource after its last pop.
+ExchangeRun RunExchange(const std::vector<ExchangeNetwork*>& nets,
+                        const std::vector<std::vector<ScatterInput>>& inputs,
+                        SimScheduler* scheduler,
+                        const std::vector<int>& node_resources,
+                        const std::vector<SimTime>& start,
+                        const ExchangeLatencyParams& p,
+                        ExchangeSchedule schedule);
 
 }  // namespace ofi::cluster::exchange

@@ -53,4 +53,16 @@ struct JoinQuery {
   }
 };
 
+/// Exchange spill as the channels themselves counted it, summed over
+/// DistExecStats::channels: {bytes, segments}. DistExecStats::spill_bytes
+/// and spill_segments must report exactly this under either schedule.
+inline std::pair<size_t, size_t> ChannelSpill(const DistExecStats& stats) {
+  std::pair<size_t, size_t> sum{0, 0};
+  for (const exchange::ChannelStats& ch : stats.channels) {
+    sum.first += ch.spilled_bytes;
+    sum.second += ch.spill_segments;
+  }
+  return sum;
+}
+
 }  // namespace ofi::cluster

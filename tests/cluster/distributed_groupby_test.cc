@@ -8,6 +8,7 @@
 /// counter to its branch and the EXPLAIN surfacing. Runs under the tsan
 /// preset via scripts/check.sh.
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -200,9 +201,13 @@ TEST_F(DistributedGroupByTest, ForcedMaterializeMatchesKernelAndCostsMore) {
     EXPECT_EQ(info.path, "columnar(grouped-kernel)");
   }
 
-  dist_.exec_options().columnar_force_materialize = true;
-  auto mat = dist_.Execute(sql);
-  ASSERT_TRUE(mat.ok());
+  std::optional<Table> mat;
+  {
+    ForceColumnarMaterializeForTesting force;
+    auto forced = dist_.Execute(sql);
+    ASSERT_TRUE(forced.ok());
+    mat = std::move(*forced);
+  }
   const auto mstats = dist_.last().stats;
   for (const auto& info : mstats.per_dn) {
     EXPECT_EQ(info.path, "columnar(materialize:forced)");

@@ -13,6 +13,7 @@
 
 #include "cluster/distributed_sql.h"
 #include "common/rng.h"
+#include "dist_plans.h"
 #include "optimizer/sql_session.h"
 
 namespace ofi::cluster {
@@ -298,6 +299,9 @@ TEST_F(DistributedSqlTest, CappedExchangeSpillsAndStaysEquivalent) {
           "JOIN customers ON cust = c_id" + where + " GROUP BY segment");
     ASSERT_TRUE(dist_.last().distributed) << dist_.last().fallback_reason;
     EXPECT_TRUE(dist_.last().stats.joined);
+    EXPECT_EQ(ChannelSpill(dist_.last().stats),
+              std::make_pair(dist_.last().stats.spill_bytes,
+                             dist_.last().stats.spill_segments));
     if (dist_.last().stats.spill_bytes > 0) ++spilling_queries;
     EXPECT_TRUE(fs::is_empty(dir));  // segments never outlive their query
   }
@@ -369,11 +373,9 @@ TEST_F(DistributedSqlTest, PipelinedMatchesBarrierBitIdentical) {
 }
 
 TEST_F(DistributedSqlTest, PipelinedCappedExchangeStaysEquivalentNoLeaks) {
-  // Tiny channel cap under the pipelined executor: results stay equivalent
-  // to the single-node oracle and no spill segment outlives its query.
-  // Exact spill counters are NOT asserted — under pipelining they depend
-  // on how far each consumer lagged its producer (the sim charges the
-  // deterministic modeled spill instead).
+  // Tiny channel cap under the pipelined schedule: results stay equivalent
+  // to the single-node oracle, the reported spill is the channels' own,
+  // and no spill segment outlives its query.
   namespace fs = std::filesystem;
   fs::path dir = fs::path(::testing::TempDir()) / "ofi-sql-pipe-capped";
   fs::remove_all(dir);
@@ -395,6 +397,10 @@ TEST_F(DistributedSqlTest, PipelinedCappedExchangeStaysEquivalentNoLeaks) {
           "JOIN customers ON cust = c_id" + where + " GROUP BY segment");
     ASSERT_TRUE(dist_.last().distributed) << dist_.last().fallback_reason;
     EXPECT_GT(dist_.last().stats.batches_streamed, 0u);
+    EXPECT_GT(dist_.last().stats.spill_bytes, 0u);
+    EXPECT_EQ(ChannelSpill(dist_.last().stats),
+              std::make_pair(dist_.last().stats.spill_bytes,
+                             dist_.last().stats.spill_segments));
     EXPECT_TRUE(fs::is_empty(dir));  // segments never outlive their query
   }
 

@@ -87,19 +87,17 @@ TEST(ExchangeLimitTest, ExhaustedSpillBudgetScatterHonorsTheCap) {
   std::vector<Row> rows;
   for (int64_t i = 0; i < 20; ++i) rows.push_back(MakeRow(i, "padpadpad"));
 
-  std::vector<exchange::SentBatch> log;
-  Status st = exchange::ScatterRows(&net, 0, rows, std::nullopt, 0, &log);
+  Status st = exchange::ScatterRows(&net, 0, rows, std::nullopt);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
   EXPECT_GT(net.DeniedBytes(), 0u);
   EXPECT_EQ(net.channel(0, 1).queued_bytes(), 0u);
   // Nothing to send, nothing denied.
-  EXPECT_TRUE(exchange::ScatterRows(&net, 0, {}, std::nullopt, 0, &log).ok());
-  EXPECT_TRUE(log.empty());
+  EXPECT_TRUE(exchange::ScatterRows(&net, 0, {}, std::nullopt).ok());
 
   exchange::ExchangeNetwork roomy(2, /*batch_rows=*/8);
   ASSERT_TRUE(
-      exchange::ScatterRows(&roomy, 0, rows, std::nullopt, 0, &log).ok());
+      exchange::ScatterRows(&roomy, 0, rows, std::nullopt).ok());
   EXPECT_EQ(roomy.DeniedBytes(), 0u);
 }
 
@@ -125,42 +123,53 @@ TEST(ExchangeLimitTest, CappedJoinSpillsByDefaultAndDeniesOverSpillBudget) {
 
   JoinQuery spec{"orders", "lookup", "o_id", "l_id"};
 
-  // Unbounded run first: the join works, nothing spilled or denied.
-  DistExecOptions opts;
-  opts.strategy_override = JoinStrategy::kRepartition;
-  auto ok = ExecuteDistPlan(&cluster, spec.Plan(), opts);
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok->table.num_rows(), 8u);
-  EXPECT_EQ(ok->stats.spill_bytes, 0u);
-  EXPECT_EQ(cluster.metrics().Get("exchange.bytes_spilled"), 0);
-  EXPECT_EQ(cluster.metrics().Get("exchange.bytes_denied"), 0);
+  for (bool pipeline : {false, true}) {
+    SCOPED_TRACE(pipeline ? "pipelined" : "barrier");
+    const int64_t spilled0 = cluster.metrics().Get("exchange.bytes_spilled");
+    const int64_t denied0 = cluster.metrics().Get("exchange.bytes_denied");
+    // Unbounded run first: the join works, nothing spilled or denied.
+    DistExecOptions opts;
+    opts.strategy_override = JoinStrategy::kRepartition;
+    opts.pipeline = pipeline;
+    auto ok = ExecuteDistPlan(&cluster, spec.Plan(), opts);
+    ASSERT_TRUE(ok.ok());
+    EXPECT_EQ(ok->table.num_rows(), 8u);
+    EXPECT_EQ(ok->stats.spill_bytes, 0u);
+    EXPECT_EQ(cluster.metrics().Get("exchange.bytes_spilled"), spilled0);
+    EXPECT_EQ(cluster.metrics().Get("exchange.bytes_denied"), denied0);
 
-  // A cap below one encoded batch: the retired failure mode. The shuffle
-  // now spills on every channel and the join completes with the same rows,
-  // only slower in simulated time.
-  opts.max_channel_bytes = 16;
-  auto capped = ExecuteDistPlan(&cluster, spec.Plan(), opts);
-  ASSERT_TRUE(capped.ok());
-  EXPECT_EQ(capped->table.num_rows(), 8u);
-  EXPECT_GT(capped->stats.spill_bytes, 0u);
-  EXPECT_GT(cluster.metrics().Get("exchange.bytes_spilled"), 0);
-  EXPECT_GT(capped->stats.sim_latency_us, ok->stats.sim_latency_us);
+    // A cap below one encoded batch: the retired failure mode. The shuffle
+    // now spills on every channel and the join completes with the same
+    // rows, only slower in simulated time. The stats report exactly what
+    // the channels spilled.
+    opts.max_channel_bytes = 16;
+    auto capped = ExecuteDistPlan(&cluster, spec.Plan(), opts);
+    ASSERT_TRUE(capped.ok());
+    EXPECT_EQ(capped->table.num_rows(), 8u);
+    EXPECT_GT(capped->stats.spill_bytes, 0u);
+    const auto [bytes, segments] = ChannelSpill(capped->stats);
+    EXPECT_EQ(capped->stats.spill_bytes, bytes);
+    EXPECT_EQ(capped->stats.spill_segments, segments);
+    EXPECT_GT(cluster.metrics().Get("exchange.bytes_spilled"), spilled0);
+    EXPECT_GT(capped->stats.sim_latency_us, ok->stats.sim_latency_us);
 
-  // A spill budget below one batch makes the cap a hard limit: the query
-  // fails loudly instead of silently dropping rows, counted in
-  // exchange.bytes_denied.
-  opts.max_spill_bytes = 1;
-  auto denied = ExecuteDistPlan(&cluster, spec.Plan(), opts);
-  ASSERT_FALSE(denied.ok());
-  EXPECT_EQ(denied.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_GT(cluster.metrics().Get("exchange.bytes_denied"), 0);
+    // A spill budget below one batch makes the cap a hard limit: the query
+    // fails loudly instead of silently dropping rows, counted in
+    // exchange.bytes_denied.
+    opts.max_spill_bytes = 1;
+    auto denied = ExecuteDistPlan(&cluster, spec.Plan(), opts);
+    ASSERT_FALSE(denied.ok());
+    EXPECT_EQ(denied.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_GT(cluster.metrics().Get("exchange.bytes_denied"), denied0);
 
-  // Roomy cap: behaves exactly like unbounded, whatever the spill budget.
-  opts.max_channel_bytes = 1 << 20;
-  auto roomy = ExecuteDistPlan(&cluster, spec.Plan(), opts);
-  ASSERT_TRUE(roomy.ok());
-  EXPECT_EQ(roomy->table.num_rows(), 8u);
-  EXPECT_EQ(roomy->stats.spill_bytes, 0u);
+    // Roomy cap: behaves exactly like unbounded, whatever the spill budget.
+    opts.max_channel_bytes = 1 << 20;
+    auto roomy = ExecuteDistPlan(&cluster, spec.Plan(), opts);
+    ASSERT_TRUE(roomy.ok());
+    EXPECT_EQ(roomy->table.num_rows(), 8u);
+    EXPECT_EQ(roomy->stats.spill_bytes, 0u);
+    EXPECT_EQ(ChannelSpill(roomy->stats).first, 0u);
+  }
 }
 
 }  // namespace

@@ -1,18 +1,14 @@
-/// Pipelined exchange primitives: blocking PopBatchWait (condition-variable
-/// wakeup, fail-fast on producer error, TimedOut on deadline),
-/// Close(status) propagation, sequence-tagged rollback that stays correct
-/// when a consumer drained batches between the mark and the rollback (the
+/// Pipelined exchange primitives: Close(status) propagation (fail fast on
+/// producer error), sequence-tagged rollback that stays correct when a
+/// consumer drained batches between the mark and the rollback (the
 /// producer-fails-mid-stream path), StreamingScatter's framing (per
 /// destination, batches of at most batch_rows rows in input order, routed
-/// by HashForPartition), and the deterministic latency replay under both
-/// schedules (the pipelined consumer frontier starts before the skewed
-/// producer's frontier ends). The concurrent stress cases run under tsan
-/// in CI via the sanitizer focus list (scripts/check.sh).
+/// by HashForPartition), and the exchange loop under both schedules (the
+/// pipelined consumer frontier starts before the skewed producer's frontier
+/// ends, and capped channels spill the same bytes on every run).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
-#include <thread>
 
 #include "cluster/exchange/exchange.h"
 #include "common/rng.h"
@@ -41,27 +37,7 @@ std::vector<Row> MakeRows(int count, int64_t key_mod, size_t pad = 40) {
   return rows;
 }
 
-// --- PopBatchWait / Close(status) -------------------------------------------
-
-TEST(ExchangePipelineTest, PopBatchWaitDrainsThenSignalsEndOfStream) {
-  ExchangeChannel ch;
-  ASSERT_TRUE(ch.Send("one").ok());
-  ASSERT_TRUE(ch.Send("two").ok());
-  ch.Close();
-
-  auto a = ch.PopBatchWait(1000);
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(**a, "one");
-  auto b = ch.PopBatchWait(1000);
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(**b, "two");
-  // Clean close: drained channel reports end-of-stream, not an error.
-  auto end = ch.PopBatchWait(1000);
-  ASSERT_TRUE(end.ok());
-  EXPECT_FALSE(end->has_value());
-  // Sending after close is a producer bug, surfaced loudly.
-  EXPECT_FALSE(ch.Send("late").ok());
-}
+// --- Close(status) -----------------------------------------------------------
 
 TEST(ExchangePipelineTest, ErrorCloseFailsFastEvenWithQueuedBatches) {
   ExchangeChannel ch;
@@ -70,45 +46,14 @@ TEST(ExchangePipelineTest, ErrorCloseFailsFastEvenWithQueuedBatches) {
 
   // Fail fast outranks the queued payload: a consumer must never assemble
   // a partial stream from a failed producer.
-  auto waited = ch.PopBatchWait(1000);
-  ASSERT_FALSE(waited.ok());
-  EXPECT_NE(waited.status().ToString().find("producer died"),
-            std::string::npos);
   auto polled = ch.PopBatch();
   ASSERT_FALSE(polled.ok());
+  EXPECT_NE(polled.status().ToString().find("producer died"),
+            std::string::npos);
 
   // First non-OK close wins; a later OK close never masks it.
   ch.Close();
   EXPECT_FALSE(ch.close_status().ok());
-}
-
-TEST(ExchangePipelineTest, PopBatchWaitTimesOutOnSilentProducer) {
-  ExchangeChannel ch;
-  auto r = ch.PopBatchWait(10);
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsTimedOut()) << r.status().ToString();
-}
-
-TEST(ExchangePipelineTest, PopBatchWaitWakesOnSendAndOnClose) {
-  ExchangeChannel ch;
-  std::atomic<int> got{0};
-  std::thread consumer([&] {
-    auto r = ch.PopBatchWait(30'000);
-    ASSERT_TRUE(r.ok());
-    ASSERT_TRUE(r->has_value());
-    EXPECT_EQ(**r, "payload");
-    got.fetch_add(1);
-    auto end = ch.PopBatchWait(30'000);
-    ASSERT_TRUE(end.ok());
-    EXPECT_FALSE(end->has_value());
-    got.fetch_add(1);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ASSERT_TRUE(ch.Send("payload").ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ch.Close();
-  consumer.join();
-  EXPECT_EQ(got.load(), 2);
 }
 
 // --- Sequence-tagged rollback under interleaved consumption -----------------
@@ -199,53 +144,61 @@ TEST(ExchangePipelineTest, RollbackToEmptyMarkRemovesSpillFile) {
   fs::remove_all(dir);
 }
 
-// Producer fails mid-stream while a consumer is draining with the blocking
-// pop: the ScatterGuard rollback races the consumer's PopBatchWait on the
-// same channels. Run under tsan in CI; single-threaded invariants (no file
-// leak, budget drained, abort accounting) are asserted every iteration.
+/// Runs the exchange loop on fresh resources: node i hash-repartitions
+/// `rows[i]` on column 0 through `net`.
+exchange::ExchangeRun RunLoop(ExchangeNetwork* net,
+                          const std::vector<std::vector<Row>>& rows,
+                          exchange::ExchangeSchedule schedule) {
+  SimScheduler sched;
+  std::vector<int> resources;
+  std::vector<std::vector<exchange::ScatterInput>> inputs(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    resources.push_back(sched.AddResource());
+    inputs[i].push_back(exchange::ScatterInput{0, &rows[i], 0});
+  }
+  return exchange::RunExchange({net}, inputs, &sched, resources,
+                               std::vector<SimTime>(rows.size(), 0),
+                               exchange::ExchangeLatencyParams{}, schedule);
+}
+
+// Producer fails mid-stream while a consumer is draining: a spill budget
+// that runs out at a different point each iteration denies one of node 0's
+// sends after node 1 has already popped some of its batches, so the
+// ScatterGuard rollback meets a channel a consumer has partly drained.
+// Invariants (no file leak, budget drained, abort accounting, fail fast)
+// are asserted every iteration.
 TEST(ExchangePipelineTest, ProducerFailsMidStreamWhileConsumerDrains) {
   fs::path dir = fs::path(::testing::TempDir()) / "ofi-pipe-stress";
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::vector<Row> rows = MakeRows(160, 7);
+  int failed_after_pops = 0;
   for (int iter = 0; iter < 20; ++iter) {
-    exchange::SpillBudget budget;
+    exchange::SpillBudget budget(600 + 150 * static_cast<size_t>(iter));
     exchange::ExchangeSpillConfig cfg{dir.string(), &budget};
     {
       ExchangeNetwork net(2, /*batch_rows=*/8, /*max_channel_bytes=*/256, cfg);
-      std::thread consumer([&] {
-        auto r = net.ReceiveRowsWait(1, /*timeout_ms=*/30'000);
-        // Depending on how far the drain got before the rollback + error
-        // close, the consumer either fails fast with the producer's status
-        // or (when it drained everything first) sees a clean close from
-        // node 1 and the error from node 0.
-        if (!r.ok()) {
-          EXPECT_NE(r.status().ToString().find("injected"), std::string::npos)
-              << r.status().ToString();
+      exchange::ExchangeRun run =
+          RunLoop(&net, {rows, {}}, exchange::ExchangeSchedule::kPipelined);
+      EXPECT_TRUE(run.producer_status[1].ok());
+      if (!run.producer_status[0].ok()) {
+        if (run.batches_popped > 0) ++failed_after_pops;
+        EXPECT_EQ(run.producer_status[0].code(),
+                  StatusCode::kResourceExhausted);
+        EXPECT_GT(net.AbortedBytes(), 0u) << "iteration " << iter;
+        // Every consumer reads node 0's channels, so each fails fast with
+        // node 0's status instead of surfacing a partial stream.
+        for (const Status& st : run.consumer_status) {
+          EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
         }
-      });
-      {
-        exchange::ScatterGuard guard(&net, 0);
-        exchange::StreamingScatter scatter(&net, 0, /*key_idx=*/0);
-        size_t pushed = 0;
-        for (const Row& row : rows) {
-          ASSERT_TRUE(scatter.Push(row).ok());
-          // Fail partway through, at a different point each iteration.
-          if (++pushed > static_cast<size_t>(16 + iter * 5)) break;
-        }
-        // No Commit: the guard rolls back node 0's partial scatter while
-        // the consumer may still be popping.
       }
-      net.CloseAllFrom(0, Status::Internal("injected producer failure"));
-      net.CloseAllFrom(1);  // node 1 produced nothing and closed cleanly
-      consumer.join();
-      EXPECT_GT(net.AbortedBytes(), 0u);
     }
     // Channels destroyed: every spill byte must be returned and no temp
     // file may survive the failed query.
     EXPECT_EQ(budget.used.load(), 0u) << "iteration " << iter;
     EXPECT_TRUE(fs::is_empty(dir)) << "iteration " << iter;
   }
+  EXPECT_GT(failed_after_pops, 0);
   fs::remove_all(dir);
 }
 
@@ -292,12 +245,13 @@ void ExpectFramed(const std::vector<std::vector<Row>>& batches,
 TEST(ExchangePipelineTest, StreamingScatterFramesRepartitionByHash) {
   const std::vector<Row> rows = MakeRows(100, 11);
   ExchangeNetwork net(3, /*batch_rows=*/8);
-  exchange::StreamingScatter scatter(&net, 0, /*key_idx=*/0);
+  size_t flushed_bytes = 0;
+  exchange::StreamingScatter scatter(
+      &net, 0, /*key_idx=*/0,
+      [&](int, size_t bytes) { flushed_bytes += bytes; });
   for (const Row& row : rows) ASSERT_TRUE(scatter.Push(row).ok());
   ASSERT_TRUE(scatter.Finish().ok());
 
-  size_t flushed_bytes = 0;
-  for (const auto& rec : scatter.send_log()) flushed_bytes += rec.bytes;
   EXPECT_EQ(flushed_bytes, net.channel(0, 0).bytes() +
                                net.channel(0, 1).bytes() +
                                net.channel(0, 2).bytes());
@@ -315,23 +269,24 @@ TEST(ExchangePipelineTest, StreamingScatterFramesRepartitionByHash) {
 TEST(ExchangePipelineTest, StreamingScatterFramesBroadcastToEveryNode) {
   const std::vector<Row> rows = MakeRows(37, 5);
   ExchangeNetwork net(3, /*batch_rows=*/8);
-  exchange::StreamingScatter scatter(&net, 1, /*key_idx=*/std::nullopt);
+  size_t flushes = 0;
+  exchange::StreamingScatter scatter(&net, 1, /*key_idx=*/std::nullopt,
+                                     [&](int, size_t) { ++flushes; });
   for (const Row& row : rows) ASSERT_TRUE(scatter.Push(row).ok());
   ASSERT_TRUE(scatter.Finish().ok());
 
   // ceil(37/8) = 5 batches to each node, the loopback copy included.
-  EXPECT_EQ(scatter.send_log().size(), 15u);
+  EXPECT_EQ(flushes, 15u);
   for (int dst = 0; dst < 3; ++dst) {
     ExpectFramed(DrainBatches(&net, 1, dst), rows, 8);
   }
 }
 
-TEST(ExchangePipelineTest, ReceiveRowsWaitIsSourceOrderThenSendOrder) {
+TEST(ExchangePipelineTest, ReceiveRowsIsSourceOrderThenSendOrder) {
   const std::vector<Row> rows = MakeRows(90, 13);
   ExchangeNetwork net(3, /*batch_rows=*/8);
-  std::vector<exchange::SentBatch> log;
   for (int src = 0; src < 3; ++src) {
-    ASSERT_TRUE(exchange::ScatterRows(&net, src, rows, 0, 0, &log).ok());
+    ASSERT_TRUE(exchange::ScatterRows(&net, src, rows, 0).ok());
     net.CloseAllFrom(src);
   }
   for (int dst = 0; dst < 3; ++dst) {
@@ -344,9 +299,7 @@ TEST(ExchangePipelineTest, ReceiveRowsWaitIsSourceOrderThenSendOrder) {
         }
       }
     }
-    size_t streamed_batches = 0;
-    auto waited = net.ReceiveRowsWait(dst, /*timeout_ms=*/1000,
-                                      &streamed_batches);
+    auto waited = net.ReceiveRows(dst);
     ASSERT_TRUE(waited.ok());
     ASSERT_EQ(waited->size(), want.size());
     for (size_t i = 0; i < want.size(); ++i) {
@@ -355,51 +308,33 @@ TEST(ExchangePipelineTest, ReceiveRowsWaitIsSourceOrderThenSendOrder) {
         EXPECT_EQ((*waited)[i][c].ToString(), want[i][c].ToString());
       }
     }
-    EXPECT_GT(streamed_batches, 0u);
   }
 }
 
-// --- Deterministic pipelined latency replay ---------------------------------
+// --- The exchange loop under both schedules --------------------------------
 
-/// Builds the skewed two-node traffic (node 0 ships `heavy` rows to node 1,
-/// node 1 ships a single light batch back) on `net` and returns the
-/// producer send logs (hash keys: even -> node 0, odd -> node 1).
-std::vector<std::vector<exchange::SentBatch>> SkewedTraffic(
-    ExchangeNetwork* net, int heavy) {
-  std::vector<std::vector<exchange::SentBatch>> logs(2);
+/// The skewed two-node traffic: node 0 streams `heavy` rows, node 1 a
+/// single light batch, both hash-repartitioned over the two nodes.
+std::vector<std::vector<Row>> SkewedTraffic(int heavy) {
+  std::vector<std::vector<Row>> rows(2);
   for (int src = 0; src < 2; ++src) {
-    // Everything node 0 produces is odd-keyed (routes to node 1) and vice
-    // versa: maximal cross-traffic with one dominant producer.
-    std::vector<Row> rows;
     const int count = src == 0 ? heavy : 4;
     for (int i = 0; i < count; ++i) {
-      rows.push_back(MakeRow(2 * i + (src == 0 ? 1 : 0), std::string(64, 'p')));
+      rows[static_cast<size_t>(src)].push_back(
+          MakeRow(2 * i + (src == 0 ? 1 : 0), std::string(64, 'p')));
     }
-    EXPECT_TRUE(exchange::ScatterRows(net, src, rows, 0, 0,
-                                      &logs[static_cast<size_t>(src)])
-                    .ok());
   }
-  return logs;
+  return rows;
 }
 
-/// Replays `logs` on two fresh resources.
-exchange::ExchangeSimResult Replay(
-    const std::vector<std::vector<exchange::SentBatch>>& logs, size_t cap,
-    exchange::ExchangeSchedule schedule) {
-  SimScheduler sched;
-  const std::vector<int> resources = {sched.AddResource(), sched.AddResource()};
-  return exchange::SimulateExchange(&sched, resources, {cap}, logs, {0, 0},
-                                    exchange::ExchangeLatencyParams{},
-                                    schedule);
-}
-
-TEST(ExchangePipelineTest, PipelinedReplayOverlapsSkewedProducer) {
-  ExchangeNetwork net(2, /*batch_rows=*/8);
-  auto logs = SkewedTraffic(&net, /*heavy=*/400);
-  exchange::ExchangeSimResult barrier =
-      Replay(logs, 0, exchange::ExchangeSchedule::kBarrier);
-  exchange::ExchangeSimResult sim =
-      Replay(logs, 0, exchange::ExchangeSchedule::kPipelined);
+TEST(ExchangePipelineTest, PipelinedExchangeOverlapsSkewedProducer) {
+  const auto traffic = SkewedTraffic(/*heavy=*/400);
+  ExchangeNetwork barrier_net(2, /*batch_rows=*/8);
+  exchange::ExchangeRun barrier =
+      RunLoop(&barrier_net, traffic, exchange::ExchangeSchedule::kBarrier);
+  ExchangeNetwork piped_net(2, /*batch_rows=*/8);
+  exchange::ExchangeRun sim =
+      RunLoop(&piped_net, traffic, exchange::ExchangeSchedule::kPipelined);
 
   // The consumer frontier starts strictly before the slow producer's
   // frontier ends — the overlap the barrier schedule forbids by
@@ -411,61 +346,73 @@ TEST(ExchangePipelineTest, PipelinedReplayOverlapsSkewedProducer) {
   // Both schedules encode the same batches with the same charges.
   EXPECT_EQ(barrier.producer_done, sim.producer_done);
   // And the overlap translates into lower end-to-end readiness than the
-  // barrier replay of the identical traffic.
+  // barrier run of the identical traffic.
   EXPECT_LT(*std::max_element(sim.ready.begin(), sim.ready.end()),
             *std::max_element(barrier.ready.begin(), barrier.ready.end()));
+  // Same rows in the same order either way.
+  ASSERT_EQ(sim.rows[0][0].size() + sim.rows[0][1].size(), 404u);
+  for (size_t j = 0; j < 2; ++j) {
+    ASSERT_EQ(sim.rows[0][j].size(), barrier.rows[0][j].size());
+    for (size_t r = 0; r < sim.rows[0][j].size(); ++r) {
+      EXPECT_TRUE(sim.rows[0][j][r][0].Equals(barrier.rows[0][j][r][0]));
+    }
+  }
 
-  // Deterministic: a second replay of the same logs on a fresh scheduler
+  // Deterministic: a second run of the same traffic on a fresh scheduler
   // lands on identical times.
-  exchange::ExchangeSimResult again =
-      Replay(logs, 0, exchange::ExchangeSchedule::kPipelined);
+  ExchangeNetwork again_net(2, /*batch_rows=*/8);
+  exchange::ExchangeRun again =
+      RunLoop(&again_net, traffic, exchange::ExchangeSchedule::kPipelined);
   EXPECT_EQ(again.ready, sim.ready);
   EXPECT_EQ(again.producer_done, sim.producer_done);
   EXPECT_EQ(again.first_consume, sim.first_consume);
   EXPECT_EQ(again.overlap_us, sim.overlap_us);
 }
 
-TEST(ExchangePipelineTest, PipelinedReplayChargesModeledSpill) {
-  // A tiny channel cap: the replay must account spill deterministically
-  // from the send/drain schedule (the real counters race the consumer).
+TEST(ExchangePipelineTest, PipelinedExchangeChargesRealSpill) {
+  // A tiny channel cap: the channels spill, and the loop charges exactly
+  // what they spilled, the same amount on every run.
   fs::path dir = fs::path(::testing::TempDir()) / "ofi-pipe-sim-spill";
   fs::remove_all(dir);
   fs::create_directories(dir);
   exchange::SpillBudget budget;
   exchange::ExchangeSpillConfig cfg{dir.string(), &budget};
+  const auto traffic = SkewedTraffic(/*heavy=*/400);
   {
     ExchangeNetwork capped(2, /*batch_rows=*/8, /*max_channel_bytes=*/128,
                            cfg);
-    auto logs = SkewedTraffic(&capped, /*heavy=*/400);
-    exchange::ExchangeSimResult sim =
-        Replay(logs, 128, exchange::ExchangeSchedule::kPipelined);
-    EXPECT_GT(sim.spill_bytes, 0u);
-    EXPECT_GT(sim.spill_segments, 0u);
+    exchange::ExchangeRun sim =
+        RunLoop(&capped, traffic, exchange::ExchangeSchedule::kPipelined);
+    EXPECT_GT(capped.SpilledBytes(), 0u);
+    EXPECT_GT(capped.SpillSegments(), 0u);
 
-    // Uncapped replay of the same traffic finishes no later than the
-    // capped one (spill only ever adds service).
-    exchange::ExchangeSimResult free_sim =
-        Replay(logs, 0, exchange::ExchangeSchedule::kPipelined);
-    EXPECT_EQ(free_sim.spill_bytes, 0u);
+    // Uncapped run of the same traffic finishes no later than the capped
+    // one (spill only ever adds service).
+    ExchangeNetwork free_net(2, /*batch_rows=*/8);
+    exchange::ExchangeRun free_sim =
+        RunLoop(&free_net, traffic, exchange::ExchangeSchedule::kPipelined);
+    EXPECT_EQ(free_net.SpilledBytes(), 0u);
     EXPECT_LE(*std::max_element(free_sim.ready.begin(), free_sim.ready.end()),
               *std::max_element(sim.ready.begin(), sim.ready.end()));
 
     // Under the barrier schedule no consumer drains before every send is
-    // done: the model spills at least as much as the pipelined one, and
-    // exactly what the (undrained) channels spilled.
-    exchange::ExchangeSimResult barrier =
-        Replay(logs, 128, exchange::ExchangeSchedule::kBarrier);
-    EXPECT_GE(barrier.spill_bytes, sim.spill_bytes);
-    EXPECT_EQ(barrier.spill_bytes, capped.SpilledBytes());
-    EXPECT_EQ(barrier.spill_segments, capped.SpillSegments());
+    // done: the window only fills, so it spills at least as much.
+    ExchangeNetwork barrier_net(2, /*batch_rows=*/8,
+                                /*max_channel_bytes=*/128, cfg);
+    exchange::ExchangeRun barrier =
+        RunLoop(&barrier_net, traffic, exchange::ExchangeSchedule::kBarrier);
+    EXPECT_GE(barrier_net.SpilledBytes(), capped.SpilledBytes());
 
-    // Drain so the channels are clean before teardown (keeps the temp dir
-    // empty for the leak check).
-    for (int src = 0; src < 2; ++src) capped.CloseAllFrom(src);
-    for (int dst = 0; dst < 2; ++dst) {
-      ASSERT_TRUE(capped.ReceiveRowsWait(dst, /*timeout_ms=*/1000).ok());
-    }
+    // A second pipelined run spills exactly the same bytes.
+    ExchangeNetwork again(2, /*batch_rows=*/8, /*max_channel_bytes=*/128,
+                          cfg);
+    exchange::ExchangeRun again_sim =
+        RunLoop(&again, traffic, exchange::ExchangeSchedule::kPipelined);
+    EXPECT_EQ(again.SpilledBytes(), capped.SpilledBytes());
+    EXPECT_EQ(again.SpillSegments(), capped.SpillSegments());
+    EXPECT_EQ(again_sim.ready, sim.ready);
   }
+  // Every spilled segment was consumed: budget returned, no file left.
   EXPECT_EQ(budget.used.load(), 0u);
   EXPECT_TRUE(fs::is_empty(dir));
   fs::remove_all(dir);

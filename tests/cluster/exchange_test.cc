@@ -2,7 +2,8 @@
 /// type and reject corrupt input; the partition hash must be consistent
 /// with Value equality; repartition/broadcast scatters must deliver
 /// deterministically with exact byte/batch accounting; the barrier-schedule
-/// replay must keep the max-over-senders (not chained) shape.
+/// exchange loop must keep the max-over-senders (not chained) shape and
+/// start a consumer only once every channel into it has closed.
 #include "cluster/exchange/exchange.h"
 
 #include <gtest/gtest.h>
@@ -88,14 +89,13 @@ TEST(ExchangePartitionHashTest, ConsistentWithValueEquality) {
 /// barrier schedule's consumer (it never waits).
 Result<std::vector<Row>> ReceiveAfterClose(ExchangeNetwork* net, int dst) {
   for (int src = 0; src < net->num_nodes(); ++src) net->CloseAllFrom(src);
-  return net->ReceiveRowsWait(dst, /*timeout_ms=*/1000);
+  return net->ReceiveRows(dst);
 }
 
 TEST(ExchangeNetworkTest, ShuffleDeliversEveryRowExactlyOnceCoPartitioned) {
   const int n = 4;
   ExchangeNetwork net(n, /*batch_rows=*/3);
   Rng rng(11);
-  std::vector<SentBatch> log;
   size_t total = 0;
   for (int src = 0; src < n; ++src) {
     std::vector<Row> rows;
@@ -103,7 +103,7 @@ TEST(ExchangeNetworkTest, ShuffleDeliversEveryRowExactlyOnceCoPartitioned) {
       rows.push_back({Value(rng.Uniform(0, 50)), Value(int64_t{src})});
     }
     total += rows.size();
-    ASSERT_TRUE(ScatterRows(&net, src, rows, /*key_idx=*/0, 0, &log).ok());
+    ASSERT_TRUE(ScatterRows(&net, src, rows, /*key_idx=*/0).ok());
   }
   size_t received = 0;
   std::set<int64_t> seen_keys;
@@ -145,8 +145,7 @@ TEST(ExchangeNetworkTest, BroadcastReachesEveryNodeAndCountsCrossTraffic) {
   ExchangeNetwork net(n, /*batch_rows=*/8);
   std::vector<Row> rows;
   for (int64_t i = 0; i < 10; ++i) rows.push_back({Value(i)});
-  std::vector<SentBatch> log;
-  ASSERT_TRUE(ScatterRows(&net, 1, rows, std::nullopt, 0, &log).ok());
+  ASSERT_TRUE(ScatterRows(&net, 1, rows, std::nullopt).ok());
   const size_t encoded = EncodedBytes(rows, 8);
   for (int dst = 0; dst < n; ++dst) {
     auto got = ReceiveAfterClose(&net, dst);
@@ -161,27 +160,41 @@ TEST(ExchangeNetworkTest, BroadcastReachesEveryNodeAndCountsCrossTraffic) {
   EXPECT_EQ(net.InBytes(2), encoded);
   // ceil(10/8) = 2 batches per destination.
   EXPECT_EQ(net.CrossNodeBatches(), 2u * (n - 1));
-  // Stats cover every non-empty channel, loopback included; so does the
-  // send log.
+  // Stats cover every non-empty channel, loopback included.
   size_t stat_bytes = 0;
-  for (const auto& s : net.Stats()) stat_bytes += s.bytes;
+  size_t stat_batches = 0;
+  for (const auto& s : net.Stats()) {
+    stat_bytes += s.bytes;
+    stat_batches += s.batches;
+  }
   EXPECT_EQ(stat_bytes, encoded * n);
-  size_t logged_bytes = 0;
-  for (const auto& b : log) logged_bytes += b.bytes;
-  EXPECT_EQ(logged_bytes, encoded * n);
-  EXPECT_EQ(log.size(), 2u * n);
+  EXPECT_EQ(stat_batches, 2u * n);
 }
 
-/// Replays `logs` under the barrier schedule on fresh resources.
-ExchangeSimResult ReplayBarrier(const std::vector<std::vector<SentBatch>>& logs,
-                                const std::vector<SimTime>& start,
-                                const ExchangeLatencyParams& p,
-                                size_t cap = 0) {
-  SimScheduler sched;
+/// Runs the exchange loop under the barrier schedule on fresh resources:
+/// node i hash-repartitions `rows[i]` on column 0 through `net`.
+ExchangeRun RunBarrier(ExchangeNetwork* net,
+                       const std::vector<std::vector<Row>>& rows,
+                       const std::vector<SimTime>& start,
+                       const ExchangeLatencyParams& p,
+                       SimScheduler* sched) {
   std::vector<int> res;
-  for (size_t i = 0; i < start.size(); ++i) res.push_back(sched.AddResource());
-  return SimulateExchange(&sched, res, {cap}, logs, start, p,
-                          ExchangeSchedule::kBarrier);
+  std::vector<std::vector<ScatterInput>> inputs(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    res.push_back(sched->AddResource());
+    inputs[i].push_back(ScatterInput{0, &rows[i], 0});
+  }
+  return RunExchange({net}, inputs, sched, res, start, p,
+                     ExchangeSchedule::kBarrier);
+}
+
+/// An int64 key that hash-partitions to `node` of `n`.
+int64_t KeyFor(int node, int n) {
+  for (int64_t k = 0;; ++k) {
+    if (HashForPartition(Value(k)) % n == static_cast<uint64_t>(node)) {
+      return k;
+    }
+  }
 }
 
 TEST(ExchangeSimTest, ParallelExchangeIsMaxOverSendersNotSum) {
@@ -190,13 +203,10 @@ TEST(ExchangeSimTest, ParallelExchangeIsMaxOverSendersNotSum) {
     ExchangeNetwork net(n, 64);
     std::vector<Row> rows;
     for (int64_t i = 0; i < 200; ++i) rows.push_back({Value(i), Value(i * 7)});
-    std::vector<std::vector<SentBatch>> logs(static_cast<size_t>(n));
-    for (int src = 0; src < n; ++src) {
-      EXPECT_TRUE(ScatterRows(&net, src, rows, 0, 0,
-                              &logs[static_cast<size_t>(src)]).ok());
-    }
+    std::vector<std::vector<Row>> per_node(static_cast<size_t>(n), rows);
     std::vector<SimTime> start(static_cast<size_t>(n), 100);
-    ExchangeSimResult sim = ReplayBarrier(logs, start, p);
+    SimScheduler sched;
+    ExchangeRun sim = RunBarrier(&net, per_node, start, p, &sched);
     SimTime max_done = 0;
     for (SimTime d : sim.ready) max_done = std::max(max_done, d);
     return max_done - 100;
@@ -209,44 +219,61 @@ TEST(ExchangeSimTest, ParallelExchangeIsMaxOverSendersNotSum) {
 }
 
 TEST(ExchangeSimTest, NoTrafficChargesNothing) {
-  ExchangeSimResult sim = ReplayBarrier({{}, {}}, {40, 60},
-                                        ExchangeLatencyParams{});
-  EXPECT_EQ(sim.ready[0], 40);
-  EXPECT_EQ(sim.ready[1], 60);
+  // Nothing moves, so no node is charged anything; each still waits for
+  // the other's close, one hop after it.
+  ExchangeLatencyParams p;
+  ExchangeNetwork net(2);
+  SimScheduler sched;
+  ExchangeRun sim = RunBarrier(&net, {{}, {}}, {40, 60}, p, &sched);
+  EXPECT_EQ(sched.BusyTime(0), 0);
+  EXPECT_EQ(sched.BusyTime(1), 0);
+  EXPECT_EQ(sim.ready[0], 60 + p.network_hop_us);
+  EXPECT_EQ(sim.ready[1], 40 + p.network_hop_us);
   EXPECT_EQ(sim.overlap_us, 0);
 }
 
 TEST(ExchangeSimTest, ReceiverWaitsForSlowestSenderPlusHop) {
   ExchangeLatencyParams p;
   // Nodes 1 and 2 ship one small batch each to node 0; node 2 starts late.
-  const size_t batch_bytes =
-      EncodeBatch({{Value(int64_t{1})}}, 0, 1).size();
-  std::vector<std::vector<SentBatch>> logs = {
-      {}, {SentBatch{0, 0, batch_bytes}}, {SentBatch{0, 0, batch_bytes}}};
-  ExchangeSimResult sim = ReplayBarrier(logs, {0, 0, 500}, p);
+  const Row to_node0 = {Value(KeyFor(0, 3))};
+  const size_t batch_bytes = EncodeBatch({to_node0}, 0, 1).size();
+  ExchangeNetwork net(3);
+  SimScheduler sched;
+  ExchangeRun sim =
+      RunBarrier(&net, {{}, {to_node0}, {to_node0}}, {0, 0, 500}, p, &sched);
   SimTime send_service = ExchangeServiceTime(batch_bytes, 1, p);
   // Node 2 sends at 500..500+s; node 0 decodes after that + one hop.
   SimTime slowest_arrival = 500 + send_service + p.network_hop_us;
   EXPECT_EQ(sim.ready[0],
             slowest_arrival + ExchangeServiceTime(2 * batch_bytes, 2, p));
   EXPECT_EQ(sim.first_consume[0], slowest_arrival);
-  // A sender with no input is ready when its own scatter ends.
+  // A node that receives nothing still cannot finish before the last close
+  // into it arrives: node 2's own close at 500+s, node 2's close at node 1
+  // one hop later. No consumer knows in advance that a channel stays empty.
   EXPECT_EQ(sim.ready[2], 500 + send_service);
-  EXPECT_EQ(sim.ready[1], send_service);
+  EXPECT_EQ(sim.ready[1], slowest_arrival);
+  EXPECT_EQ(sim.rows[0][0].size(), 2u);
 }
 
 TEST(ExchangeSimTest, BarrierWindowOnlyFillsEvenWhenPopMeetsSend) {
-  // Node 1 keeps two batches on its loopback channel: nothing is encoded,
-  // so both are "sent" at time 0, and the consumer reaches the first one at
-  // time 0 too. Under the barrier schedule nobody pops before every send
-  // is done, so — exactly like the real channel — the second batch finds
-  // the 150-byte window holding the first and spills.
-  std::vector<std::vector<SentBatch>> logs = {
-      {}, {SentBatch{0, 1, 100}, SentBatch{0, 1, 100}}};
-  ExchangeSimResult sim =
-      ReplayBarrier(logs, {0, 0}, ExchangeLatencyParams{}, /*cap=*/150);
-  EXPECT_EQ(sim.spill_bytes, 100u);
-  EXPECT_EQ(sim.spill_segments, 1u);
+  // Node 1 keeps two 100-byte batches on its loopback channel: nothing is
+  // encoded, so both are sent at time 0, and the consumer could reach the
+  // first one at time 0 too. Under the barrier schedule nobody pops before
+  // every channel has closed, so the second batch finds the 150-byte window
+  // holding the first and spills.
+  const Row row = {Value(KeyFor(1, 2)), Value(std::string(78, 'w'))};
+  ASSERT_EQ(EncodeBatch({row}, 0, 1).size(), 100u);
+  SpillBudget budget;
+  ExchangeSpillConfig cfg{::testing::TempDir(), &budget};
+  ExchangeNetwork net(2, /*batch_rows=*/1, /*max_channel_bytes=*/150, cfg);
+  SimScheduler sched;
+  ExchangeRun sim =
+      RunBarrier(&net, {{}, {row, row}}, {0, 0}, ExchangeLatencyParams{},
+                 &sched);
+  EXPECT_EQ(net.SpilledBytes(), 100u);
+  EXPECT_EQ(net.SpillSegments(), 1u);
+  EXPECT_EQ(sim.rows[0][1].size(), 2u);
+  EXPECT_EQ(budget.used.load(), 0u);
 }
 
 }  // namespace
