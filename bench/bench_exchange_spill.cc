@@ -52,11 +52,12 @@ std::unique_ptr<Cluster> BuildJoinCluster(int dns, int64_t rows,
   return cluster;
 }
 
-/// SELECT * FROM orders JOIN customers ON cust = c_id, gathered as rows.
-DistOpPtr JoinPlan() {
+/// SELECT * FROM orders JOIN customers ON cust = c_id, gathered as rows,
+/// under a forced join strategy.
+DistOpPtr JoinPlan(JoinStrategy strategy) {
   return MakeGather(MakeDistHashJoin(MakeDistScan("orders", nullptr),
                                      MakeDistScan("customers", nullptr), "cust",
-                                     "c_id", nullptr),
+                                     "c_id", nullptr, strategy),
                     /*gather_rows=*/true);
 }
 
@@ -65,9 +66,8 @@ void BM_RepartitionJoinUnderCap(benchmark::State& state) {
   int dns = static_cast<int>(state.range(0));
   auto cluster = BuildJoinCluster(dns, 8'000, 8'000);
   DistExecOptions options;
-  options.strategy_override = JoinStrategy::kRepartition;
   options.max_channel_bytes = static_cast<size_t>(state.range(1));
-  const DistOpPtr plan = JoinPlan();
+  const DistOpPtr plan = JoinPlan(JoinStrategy::kRepartition);
   DistPlanResult last;
   for (auto _ : state) {
     cluster->ResetSimTime();
@@ -103,10 +103,10 @@ void PrintCapSweepTable() {
                      size_t{1} << 14, size_t{1} << 12, size_t{1} << 10,
                      size_t{64}}) {
     DistExecOptions options;
-    options.strategy_override = JoinStrategy::kRepartition;
     options.max_channel_bytes = cap;
     cluster->ResetSimTime();
-    auto r = ExecuteDistPlan(cluster.get(), JoinPlan(), options);
+    auto r = ExecuteDistPlan(cluster.get(),
+                             JoinPlan(JoinStrategy::kRepartition), options);
     if (!r.ok()) continue;
     const DistExecStats& st = r->stats;
     if (cap == 0) base_us = st.sim_latency_us;
@@ -139,10 +139,10 @@ void PrintBuildSpillTable() {
   for (size_t budget : {size_t{0}, size_t{1} << 14, size_t{1} << 12,
                         size_t{1} << 10}) {
     DistExecOptions options;
-    options.strategy_override = JoinStrategy::kBroadcast;
     options.max_build_bytes = budget;
     cluster->ResetSimTime();
-    auto r = ExecuteDistPlan(cluster.get(), JoinPlan(), options);
+    auto r = ExecuteDistPlan(cluster.get(), JoinPlan(JoinStrategy::kBroadcast),
+                             options);
     if (!r.ok()) continue;
     char budbuf[24];
     if (budget == 0) {

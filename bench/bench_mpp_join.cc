@@ -56,19 +56,13 @@ std::unique_ptr<Cluster> BuildJoinCluster(int dns, int64_t rows,
 }
 
 /// SELECT * FROM orders JOIN customers ON cust = c_id, gathered as rows.
-/// The plan's strategy stays kAuto; DistExecOptions::strategy_override
-/// forces one.
-DistOpPtr JoinPlan() {
+/// kAuto lets the executor choose the strategy from sizes; kBroadcast /
+/// kRepartition force it.
+DistOpPtr JoinPlan(JoinStrategy strategy = JoinStrategy::kAuto) {
   return MakeGather(MakeDistHashJoin(MakeDistScan("orders", nullptr),
                                      MakeDistScan("customers", nullptr), "cust",
-                                     "c_id", nullptr),
+                                     "c_id", nullptr, strategy),
                     /*gather_rows=*/true);
-}
-
-DistExecOptions Forced(JoinStrategy strategy) {
-  DistExecOptions options;
-  options.strategy_override = strategy;
-  return options;
 }
 
 /// range: dns, dim_rows, strategy (0 broadcast / 1 repartition / 2 auto),
@@ -77,14 +71,13 @@ void BM_DistHashJoin(benchmark::State& state) {
   int dns = static_cast<int>(state.range(0));
   int64_t dim_rows = state.range(1);
   auto cluster = BuildJoinCluster(dns, 8'000, dim_rows, state.range(3) != 0);
-  const DistExecOptions options =
-      Forced(state.range(2) == 0   ? JoinStrategy::kBroadcast
-             : state.range(2) == 1 ? JoinStrategy::kRepartition
-                                   : JoinStrategy::kAuto);
-  const DistOpPtr plan = JoinPlan();
+  const DistOpPtr plan =
+      JoinPlan(state.range(2) == 0   ? JoinStrategy::kBroadcast
+               : state.range(2) == 1 ? JoinStrategy::kRepartition
+                                     : JoinStrategy::kAuto);
   DistPlanResult last;
   for (auto _ : state) {
-    auto r = ExecuteDistPlan(cluster.get(), plan, options);
+    auto r = ExecuteDistPlan(cluster.get(), plan);
     if (r.ok()) last = std::move(r).ValueOrDie();
     benchmark::DoNotOptimize(last.table);
   }
@@ -121,7 +114,7 @@ void PrintMovementTable() {
     JoinStrategy chosen =
         auto_r.ok() ? auto_r->stats.strategy : JoinStrategy::kBroadcast;
     for (auto strat : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
-      auto r = ExecuteDistPlan(cluster.get(), JoinPlan(), Forced(strat));
+      auto r = ExecuteDistPlan(cluster.get(), JoinPlan(strat));
       if (!r.ok()) continue;
       const DistExecStats& st = r->stats;
       printf("%-9lld %-8s %-12s %12zu %12zu %12zu %8s\n", (long long)dim_rows,
@@ -143,8 +136,8 @@ void PrintSkewTable() {
          "imbal");
   for (bool skew : {false, true}) {
     auto cluster = BuildJoinCluster(4, 8'000, 8'000, skew);
-    auto r = ExecuteDistPlan(cluster.get(), JoinPlan(),
-                             Forced(JoinStrategy::kRepartition));
+    auto r =
+        ExecuteDistPlan(cluster.get(), JoinPlan(JoinStrategy::kRepartition));
     if (!r.ok()) continue;
     std::map<int, size_t> in_bytes;
     for (const auto& ch : r->stats.channels) {
@@ -173,7 +166,7 @@ void PrintLatencyTable() {
     auto cluster = BuildJoinCluster(dns, 8'000, 8'000, false);
     for (auto strat : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
       cluster->ResetSimTime();
-      auto r = ExecuteDistPlan(cluster.get(), JoinPlan(), Forced(strat));
+      auto r = ExecuteDistPlan(cluster.get(), JoinPlan(strat));
       if (!r.ok()) continue;
       printf("%-4d %-12s %14lld\n", dns, ToString(strat),
              (long long)r->stats.sim_latency_us);

@@ -19,12 +19,13 @@ run_preset() {
   # The join/columnar-scan tests cross threads by design (pool scatter of
   # scans and per-DN joins, vacuum-under-exchange stress, morsel-parallel
   # chunk scans), the admission-queue stress drives the CN gate from
-  # 8 real threads, and the scheduler test charges one resource from 4
-  # threads — run them by name so a filtered or stale test list can
-  # never skip the reason this gate exists.
+  # 8 real threads, the scheduler test charges one resource from 4
+  # threads, and the MVCC test visits and copies the heap beside a
+  # committing writer — run them by name so a filtered or stale test list
+  # can never skip the reason this gate exists.
   echo "=== ${preset}: exchange/join/columnar/distributed-sql/traffic focus ==="
   ctest --preset "${preset}" \
-    -R "exchange|distributed_join|column_store|column_scan|column_groupby|columnar_mpp|mpp_query|distributed_sql|distributed_groupby|columnar_refresh|htap_freshness|traffic|admission_queue|group_commit|tpcc|secondary_index|sim_and_util" \
+    -R "exchange|distributed_join|column_store|column_scan|column_groupby|columnar_mpp|mpp_query|distributed_sql|distributed_groupby|columnar_refresh|htap_freshness|traffic|admission_queue|group_commit|tpcc|secondary_index|sim_and_util|mvcc_concurrency" \
     --output-on-failure
   echo "=== ${preset}: sql shell smoke (distributed) ==="
   scripts/sql_shell_smoke.sh "build-${preset}"

@@ -455,16 +455,6 @@ Result<SimTime> Txn::PrepareShard(int dn, SimTime arrival) {
   return clock;
 }
 
-Result<std::vector<sql::Row>> Txn::ScanShardPrepared(const std::string& table,
-                                                     int dn) const {
-  auto it = dns_.find(dn);
-  if (it == dns_.end()) {
-    return Status::InvalidArgument("shard not prepared: dn" + std::to_string(dn));
-  }
-  OFI_ASSIGN_OR_RETURN(storage::MvccTable * t, cluster_->dn(dn)->GetTable(table));
-  return t->ScanVisible(CheckerFor(dn, it->second));
-}
-
 Result<txn::VisibilityChecker> Txn::VisibilityForPrepared(int dn) const {
   auto it = dns_.find(dn);
   if (it == dns_.end()) {

@@ -74,17 +74,13 @@ class Txn {
   /// from the coordinator thread before any concurrent scans.
   Result<SimTime> PrepareShard(int dn, SimTime arrival);
 
-  /// Visible-row scan of a shard previously opened via PrepareShard() (or
-  /// any statement). Charges no simulated time and mutates nothing on this
+  /// This transaction's MVCC visibility checker on a shard previously opened
+  /// via PrepareShard() (or any statement). The checker holds pointers into
+  /// the transaction's own context storage (stable until commit/abort), so
+  /// heap visits, index probes and columnar delta tails all read at exactly
+  /// this snapshot. Charges no simulated time and mutates nothing on this
   /// transaction, so distinct DNs may be scanned concurrently from thread
   /// pool workers while writers run under the storage/txn shared locks.
-  Result<std::vector<sql::Row>> ScanShardPrepared(const std::string& table,
-                                                  int dn) const;
-
-  /// This transaction's MVCC visibility checker on a shard previously opened
-  /// via PrepareShard(). The checker holds pointers into the transaction's
-  /// own context storage (stable until commit/abort), so columnar scans can
-  /// evaluate the delta tail at exactly the snapshot the row path would use.
   Result<txn::VisibilityChecker> VisibilityForPrepared(int dn) const;
 
   /// Advances this transaction's serial clock to at least `t` (the CN

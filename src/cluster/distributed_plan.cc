@@ -124,9 +124,72 @@ struct FragSlot {
   size_t build_spill_bytes = 0;  // join build partition spooled to disk
   bool columnar = false;
   storage::ScanStats stats;  // columnar and index-probe shards
-  /// Heap rows a row-path scan walked (visible versions before the filter);
-  /// drives the deferred per-block row-scan latency charge.
+  /// Rows the shard's sink was offered, before the filter: visible heap
+  /// versions on the row path (drives the deferred per-block row-scan
+  /// charge), probed rows on the index path (== stats.index_rows),
+  /// materialized rows on the columnar path (not charged; chunks are).
   size_t rows_examined = 0;
+};
+
+/// The one per-DN sink every scan source feeds: the heap visit, the index
+/// probe and the columnar materialization. Each offered row is counted
+/// (rows examined and, when asked, the naive-plan bytes, both before the
+/// filter), tested once against the pushed filter, then folded into the
+/// fused partial aggregate or kept in offer order.
+class ShardSink {
+ public:
+  explicit ShardSink(bool count_naive) : count_naive_(count_naive) {}
+
+  /// Binds on the source's schema. `filter` is cloned (Bind() caches column
+  /// indices in place, so each worker binds its own copy); null keeps every
+  /// row. `agg` is the fused partial aggregate; nullopt keeps the rows.
+  Status Bind(const sql::Schema& schema, const sql::ExprPtr& filter,
+              std::optional<sql::Aggregator> agg) {
+    schema_ = schema;
+    if (filter) {
+      filter_ = filter->Clone();
+      OFI_RETURN_NOT_OK(filter_->Bind(schema));
+    }
+    agg_ = std::move(agg);
+    if (agg_) OFI_RETURN_NOT_OK(agg_->Bind(schema));
+    return Status::OK();
+  }
+
+  template <typename R>
+  void Add(R&& row) {
+    ++examined_;
+    if (count_naive_) naive_bytes_ += sql::RowByteSize(row);
+    if (filter_) {
+      Value v = filter_->Eval(row);
+      if (v.is_null() || !v.AsBool()) return;
+    }
+    if (agg_) {
+      agg_->Add(row);
+    } else {
+      rows_.push_back(std::forward<R>(row));
+    }
+  }
+
+  /// Hands the shard's output and counters to its slot.
+  void Finish(FragSlot* slot) {
+    slot->rows_examined = examined_;
+    slot->naive_bytes += naive_bytes_;
+    if (agg_) {
+      slot->table = agg_->Finish();
+      slot->partial_bytes = TableBytes(slot->table);
+    } else {
+      slot->table = Table(std::move(schema_), std::move(rows_));
+    }
+  }
+
+ private:
+  bool count_naive_;
+  sql::Schema schema_;
+  sql::ExprPtr filter_;
+  std::optional<sql::Aggregator> agg_;
+  std::vector<Row> rows_;
+  size_t examined_ = 0;
+  size_t naive_bytes_ = 0;
 };
 
 // --- Columnar scan path (storage/column_store) -------------------------------
@@ -443,13 +506,6 @@ bool DeltaRowMatches(const ColumnarPredicate& pred, const sql::Schema& schema,
   return v.type() == TypeId::kString && v.AsString() == pred.needle;
 }
 
-int64_t WrapAdd(int64_t a, int64_t b) {
-  // SUM wraps modularly (matching the column kernels), so sealed + delta
-  // partials combine associatively and bit-identically to the row path.
-  return static_cast<int64_t>(static_cast<uint64_t>(a) +
-                              static_cast<uint64_t>(b));
-}
-
 /// Folds filtered delta-tail rows into the one-row global-aggregate partial
 /// the kernel produced for the sealed chunks. All combines are null-aware
 /// and associative, so the merged partial equals what one kernel over
@@ -477,7 +533,7 @@ Status MergeDeltaIntoKernelAgg(Table* partial,
       if (!acc.has_value()) {
         acc = x;
       } else if (spec.func == AggFunc::kSum) {
-        acc = WrapAdd(*acc, x);
+        acc = sql::WrapAdd(*acc, x);
       } else if (spec.func == AggFunc::kMin) {
         acc = std::min(*acc, x);
       } else if (spec.func == AggFunc::kMax) {
@@ -491,7 +547,7 @@ Status MergeDeltaIntoKernelAgg(Table* partial,
       case AggFunc::kSum:
         if (acc.has_value()) {
           out[j] = out[j].is_null() ? Value(*acc)
-                                    : Value(WrapAdd(out[j].AsInt(), *acc));
+                                    : Value(sql::WrapAdd(out[j].AsInt(), *acc));
         }
         break;
       case AggFunc::kMin:
@@ -580,7 +636,8 @@ Status MergeDeltaIntoGroupedAgg(Table* partial,
           cell = Value(cell.AsInt() + 1);
           break;
         case AggFunc::kSum:
-          cell = cell.is_null() ? Value(x) : Value(WrapAdd(cell.AsInt(), x));
+          cell = cell.is_null() ? Value(x)
+                                : Value(sql::WrapAdd(cell.AsInt(), x));
           break;
         case AggFunc::kMin:
           cell = cell.is_null() ? Value(x) : Value(std::min(cell.AsInt(), x));
@@ -594,6 +651,17 @@ Status MergeDeltaIntoGroupedAgg(Table* partial,
     }
   }
   return Status::OK();
+}
+
+/// The kAuto join strategy from estimated side sizes: broadcast ships the
+/// smaller side to the N-1 other nodes, repartition ships the (N-1)/N
+/// fraction of both sides that hashes off-node; ties broadcast.
+JoinStrategy ChooseJoinStrategy(double est_left, double est_right, int n) {
+  const double cost_broadcast = std::min(est_left, est_right) * (n - 1);
+  const double cost_repartition =
+      (est_left + est_right) * static_cast<double>(n - 1) / std::max(n, 1);
+  return cost_broadcast <= cost_repartition ? JoinStrategy::kBroadcast
+                                            : JoinStrategy::kRepartition;
 }
 
 /// Dispatches fn(0..n-1) on the shared pool, or inline when !parallel
@@ -661,12 +729,35 @@ class DistPlanExecutor {
  private:
   Status ExecScanFragment(const DistOp& scan, bool fused, bool count_naive,
                           std::vector<FragSlot>* slots_out);
-  Status ExecIndexScanFragment(const DistOp& scan, bool fused,
-                               std::vector<FragSlot>* slots_out);
   Status ExecJoinFragment(const DistOp& join, const DistOp& left_scan,
                           const DistOp& right_scan, bool fused,
                           std::vector<FragSlot>* slots_out);
-  Result<Table> FinalAggregate(Table partial_union);
+  Result<Table> FinalAggregate(const Table& partial_union);
+
+  /// This worker's copy of the fused partial aggregate specs (arguments
+  /// cloned: Bind() caches column indices in place).
+  std::vector<AggSpec> PartialSpecs() const {
+    std::vector<AggSpec> specs;
+    for (const auto& p : plans_) {
+      for (const auto& spec : p.partial) {
+        specs.push_back(AggSpec{
+            spec.func, spec.arg ? spec.arg->Clone() : nullptr, spec.name});
+      }
+    }
+    return specs;
+  }
+
+  /// A sink bound on `schema` with this worker's filter clone and, when
+  /// fused, its own partial aggregate.
+  Result<ShardSink> MakeSink(const sql::Schema& schema,
+                             const sql::ExprPtr& filter, bool fused,
+                             bool count_naive) const {
+    ShardSink sink(count_naive);
+    std::optional<sql::Aggregator> agg;
+    if (fused) agg.emplace(agg_group_, PartialSpecs());
+    OFI_RETURN_NOT_OK(sink.Bind(schema, filter, std::move(agg)));
+    return sink;
+  }
 
   exchange::ExchangeLatencyParams ExchangeParams() const {
     return exchange::ExchangeLatencyParams{
@@ -819,8 +910,6 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
   if (left_scan != nullptr) {
     OFI_RETURN_NOT_OK(
         ExecJoinFragment(*core, *left_scan, *right_scan, fused, &slots));
-  } else if (index_scan != nullptr) {
-    OFI_RETURN_NOT_OK(ExecIndexScanFragment(*core, fused, &slots));
   } else {
     OFI_RETURN_NOT_OK(
         ExecScanFragment(*core, fused, /*count_naive=*/true, &slots));
@@ -932,7 +1021,7 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
 
   DistPlanResult out;
   if (final_agg != nullptr) {
-    OFI_ASSIGN_OR_RETURN(out.table, FinalAggregate(std::move(gathered)));
+    OFI_ASSIGN_OR_RETURN(out.table, FinalAggregate(gathered));
   } else {
     out.table = std::move(gathered);
   }
@@ -944,17 +1033,30 @@ Status DistPlanExecutor::ExecScanFragment(const DistOp& scan, bool fused,
                                           bool count_naive,
                                           std::vector<FragSlot>* slots_out) {
   const std::string& table = scan.table;
+  const bool index_scan = scan.kind == DistOpKind::kDistIndexScan;
   std::vector<storage::MvccTable*> shard_tables(serving_.size(), nullptr);
+  std::vector<std::shared_ptr<storage::SecondaryIndex>> shard_indexes(
+      serving_.size());
   for (int i = 0; i < n_; ++i) {
-    OFI_ASSIGN_OR_RETURN(shard_tables[static_cast<size_t>(i)],
+    const size_t si = static_cast<size_t>(i);
+    OFI_ASSIGN_OR_RETURN(shard_tables[si],
                          cluster_->dn(serving_[i])->GetTable(table));
+    if (!index_scan) continue;
+    shard_indexes[si] = cluster_->IndexOn(serving_[i], table, scan.index_col);
+    if (shard_indexes[si] == nullptr) {
+      // Dropped between lowering and execution; the caller retries via scan.
+      return Status::NotFound("index on " + scan.index_column +
+                              " no longer exists on dn" +
+                              std::to_string(serving_[i]));
+    }
   }
 
-  // Columnar eligibility. The filter must be kernel-recognizable (checked
-  // once for the fragment). Freshness is never a reason to fall back: every
-  // delta shard unions its sealed chunks with the row-format tail the heap
-  // listener feeds, evaluated under this transaction's own snapshot, so the
-  // columnar result is bit-identical to the row path at any point in time.
+  // Columnar eligibility (index scans are always ScanPath::kRow). The
+  // filter must be kernel-recognizable (checked once for the fragment).
+  // Freshness is never a reason to fall back: every delta shard unions its
+  // sealed chunks with the row-format tail the heap listener feeds,
+  // evaluated under this transaction's own snapshot, so the columnar result
+  // is bit-identical to the row path at any point in time.
   std::optional<ColumnarPredicate> pred;
   if (scan.path == ScanPath::kColumnar && cluster_->IsColumnar(table)) {
     pred = RecognizeFilter(scan.filter);
@@ -992,248 +1094,174 @@ Status DistPlanExecutor::ExecScanFragment(const DistOp& scan, bool fused,
   // Phase 1 (coordinator thread): open every shard context and charge the
   // simulated fan-out. Opening an already-open shard is free — the second
   // scan fragment of a join chains its statement right after the first
-  // fragment's, exactly as the old single-loop code did. Both scan flavors
-  // charge by work actually done (chunks scanned / heap rows walked), so
-  // their statement cost is only known after phase 2 — record the prepare
-  // completion now and charge the scan afterwards (each DN's resource is
-  // independent, so the deferred charge stays deterministic).
+  // fragment's. Every source charges by work actually done (chunks
+  // scanned, heap rows walked, rows probed), so its statement cost is only
+  // known after phase 2 — record the prepare completion now and charge
+  // afterwards (each DN's resource is independent, so the deferred charge
+  // stays deterministic).
   for (int i = 0; i < n_; ++i) {
     const int dn = serving_[i];
     OFI_ASSIGN_OR_RETURN(frontier_[static_cast<size_t>(i)],
                          reader_->PrepareShard(dn, frontier_[static_cast<size_t>(i)]));
   }
 
-  // Phase 2 (thread pool): per-DN scan (+ fused partial aggregation). Row
-  // shards scan the MVCC heap; columnar shards run the filter/aggregate
-  // kernels over their chunk copy (pure kernels for global int64
-  // aggregates, else filter + Gather + executor). Workers touch only read
-  // paths plus their own slot; expression trees are cloned per worker
-  // because Bind() caches column indices in place. Kernels run serially
-  // within a shard: the scatter already runs one task per DN, and pool
-  // workers must not nest ParallelFor.
+  // Phase 2 (thread pool): each DN reads at this transaction's snapshot
+  // from one of three sources and feeds one ShardSink. Row shards visit
+  // the MVCC heap in place; index scans probe the shard's index (the FULL
+  // original predicate rides along as the sink's filter, since the probe
+  // only guarantees the indexed conjunct); columnar shards run the filter
+  // kernels over their chunk copy and, unless pure kernels serve a fused
+  // int64 aggregate, materialize the selection. Workers touch only read
+  // paths plus their own slot. Kernels run serially within a shard: the
+  // scatter already runs one task per DN, and pool workers must not nest
+  // ParallelFor.
   const storage::ScanOptions sopts;
   std::vector<FragSlot>& slots = *slots_out;
-  auto run_shard = [&](int i) {
-    const int dn = serving_[i];
-    FragSlot& slot = slots[static_cast<size_t>(i)];
+  auto scan_shard = [&](int i) -> Status {
+    const size_t si = static_cast<size_t>(i);
+    FragSlot& slot = slots[si];
+    OFI_ASSIGN_OR_RETURN(txn::VisibilityChecker vis,
+                         reader_->VisibilityForPrepared(serving_[i]));
 
-    std::vector<AggSpec> partial_specs;
-    if (fused) {
-      for (const auto& p : plans_) {
-        for (const auto& spec : p.partial) {
-          partial_specs.push_back(AggSpec{
-              spec.func, spec.arg ? spec.arg->Clone() : nullptr, spec.name});
-        }
+    if (col_shards[si] == nullptr) {
+      OFI_ASSIGN_OR_RETURN(ShardSink sink,
+                           MakeSink(shard_tables[si]->schema(), scan.filter,
+                                    fused, count_naive));
+      if (!index_scan) {
+        shard_tables[si]->ForEachVisible(
+            vis, [&sink](const Row& row) { sink.Add(row); });
+      } else {
+        std::vector<Row> probed =
+            scan.probe_is_range
+                ? shard_indexes[si]->RangeProbe(scan.probe_lo, scan.probe_hi,
+                                                vis)
+                : shard_indexes[si]->Probe(scan.probe_eq, vis);
+        for (Row& row : probed) sink.Add(std::move(row));
       }
+      sink.Finish(&slot);
+      if (index_scan) slot.stats.index_rows = slot.rows_examined;
+      return Status::OK();
     }
 
-    if (col_shards[static_cast<size_t>(i)] != nullptr) {
-      // Snapshot the delta shard under this transaction's own visibility:
-      // a pinned sealed table, the sealed rows whose delete is visible, and
-      // the visible row-format tail. The union below reproduces the row
-      // path bit for bit at this snapshot.
-      auto vis = reader_->VisibilityForPrepared(dn);
-      if (!vis.ok()) {
-        slot.status = vis.status();
-        return;
-      }
-      storage::DeltaShard::View view =
-          col_shards[static_cast<size_t>(i)]->Snapshot(*vis);
-      const storage::ColumnTable& ct = *view.sealed;
-      slot.columnar = true;
-      slot.stats.delta_rows += view.delta_examined;
-      if (count_naive) {
-        slot.naive_bytes = ct.PlainBytes();
-        for (const auto& row : view.delta_rows) {
-          slot.naive_bytes += sql::RowByteSize(row);
-        }
-      }
-      auto sel = RunColumnarFilter(ct, *pred, sopts, &slot.stats);
-      if (!sel.ok()) {
-        slot.status = sel.status();
-        return;
-      }
-      // Fold snapshot exclusions into the selection so every downstream
-      // consumer sees one sorted selection (kernel filter output is
-      // ascending; View::excluded is sorted).
-      if (!view.excluded.empty()) {
-        std::vector<uint32_t> kept;
-        if (sel->has_value()) {
-          kept.reserve((*sel)->size());
-          std::set_difference((*sel)->begin(), (*sel)->end(),
-                              view.excluded.begin(), view.excluded.end(),
-                              std::back_inserter(kept));
-        } else {
-          kept.reserve(ct.sealed_rows() - view.excluded.size());
-          size_t e = 0;
-          for (uint32_t r = 0; r < ct.sealed_rows(); ++r) {
-            if (e < view.excluded.size() && view.excluded[e] == r) {
-              ++e;
-              continue;
-            }
-            kept.push_back(r);
-          }
-        }
-        *sel = std::move(kept);
-      }
-      // The delta half of the union: visible tail rows, filtered exactly as
-      // the kernels filter the sealed half.
-      std::vector<Row> delta_matched;
-      delta_matched.reserve(view.delta_rows.size());
-      for (auto& row : view.delta_rows) {
-        if (DeltaRowMatches(*pred, ct.schema(), row)) {
-          delta_matched.push_back(std::move(row));
-        }
-      }
-      auto materialize = [&](const std::vector<uint32_t>& s)
-          -> Result<std::vector<Row>> {
-        // Chunk-on-demand materialization: only chunks holding selected rows
-        // are decoded (and charged), matching the kernels' accounting units
-        // of one column-chunk each.
-        return ct.MaterializeRows(s, &slot.stats);
-      };
-      auto all_rows = [&]() {
-        std::vector<uint32_t> all;
-        if (!sel->has_value()) {
-          all.resize(ct.sealed_rows());
-          for (uint32_t k = 0; k < all.size(); ++k) all[k] = k;
-        }
-        return all;
-      };
-      if (fused) {
-        auto compute = [&]() -> Result<Table> {
-          if (kernel_path && agg_group_.empty()) {
-            OFI_ASSIGN_OR_RETURN(
-                Table partial,
-                RunColumnarKernelAgg(ct, sel->has_value() ? &**sel : nullptr,
-                                     pred->never, partial_specs, sopts,
-                                     &slot.stats));
-            OFI_RETURN_NOT_OK(MergeDeltaIntoKernelAgg(
-                &partial, partial_specs, ct.schema(), delta_matched));
-            return partial;
-          }
-          if (kernel_path) {
-            // Grouped kernel. An unsatisfiable predicate arrives as an
-            // empty selection; no filter at all means the whole table.
-            OFI_ASSIGN_OR_RETURN(
-                Table partial,
-                RunColumnarGroupedAgg(ct, agg_group_,
-                                      sel->has_value() ? &**sel : nullptr,
-                                      partial_specs, sopts, &slot.stats));
-            OFI_RETURN_NOT_OK(MergeDeltaIntoGroupedAgg(
-                &partial, agg_group_, partial_specs, ct.schema(),
-                delta_matched));
-            return partial;
-          }
-          // Materialize path: decode the selection into rows, append the
-          // matching delta-tail rows, and run the ordinary partial
-          // aggregate (unsupported agg/group-key types).
-          std::vector<uint32_t> all = all_rows();
-          OFI_ASSIGN_OR_RETURN(
-              std::vector<Row> rows,
-              materialize(sel->has_value() ? **sel : all));
-          for (auto& row : delta_matched) rows.push_back(std::move(row));
-          sql::Catalog shard_catalog;
-          shard_catalog.Register("shard", Table(ct.schema(), std::move(rows)));
-          // Filter already applied by the kernel — scan without it.
-          sql::PlanPtr agg_plan = sql::MakeAggregate(sql::MakeScan("shard"),
-                                                     agg_group_, partial_specs);
-          sql::Executor exec(&shard_catalog);
-          return exec.Execute(agg_plan);
-        };
-        Result<Table> partial = compute();
-        if (!partial.ok()) {
-          slot.status = partial.status();
-          return;
-        }
-        slot.partial_bytes = TableBytes(*partial);
-        slot.table = std::move(*partial);
-        return;
-      }
-      // Plain columnar scan: materialize the (filtered) selection and
-      // append the matching delta-tail rows. Note the row order is the
-      // columnar clustering order with the tail last, not the MVCC heap
-      // order; consumers treat shard output as unordered.
-      std::vector<uint32_t> all = all_rows();
-      auto rows = materialize(sel->has_value() ? **sel : all);
-      if (!rows.ok()) {
-        slot.status = rows.status();
-        return;
-      }
-      for (auto& row : delta_matched) rows->push_back(std::move(row));
-      slot.table = Table(ct.schema(), std::move(*rows));
-      return;
-    }
-
-    auto rows = reader_->ScanShardPrepared(table, dn);
-    if (!rows.ok()) {
-      slot.status = rows.status();
-      return;
-    }
-    slot.rows_examined = rows->size();
+    // Snapshot the delta shard under this transaction's own visibility:
+    // a pinned sealed table, the sealed rows whose delete is visible, and
+    // the visible row-format tail. The union below reproduces the row
+    // path bit for bit at this snapshot.
+    storage::DeltaShard::View view = col_shards[si]->Snapshot(vis);
+    const storage::ColumnTable& ct = *view.sealed;
+    slot.columnar = true;
+    slot.stats.delta_rows += view.delta_examined;
     if (count_naive) {
-      for (const auto& row : *rows) slot.naive_bytes += sql::RowByteSize(row);
-    }
-
-    if (fused) {
-      sql::Catalog shard_catalog;
-      shard_catalog.Register(
-          "shard", Table(shard_tables[static_cast<size_t>(i)]->schema(),
-                         std::move(*rows)));
-      sql::PlanPtr scan_plan =
-          sql::MakeScan("shard", scan.filter ? scan.filter->Clone() : nullptr);
-      sql::PlanPtr agg_plan =
-          sql::MakeAggregate(scan_plan, agg_group_, partial_specs);
-      sql::Executor exec(&shard_catalog);
-      auto partial = exec.Execute(agg_plan);
-      if (!partial.ok()) {
-        slot.status = partial.status();
-        return;
+      slot.naive_bytes = ct.PlainBytes();
+      for (const auto& row : view.delta_rows) {
+        slot.naive_bytes += sql::RowByteSize(row);
       }
-      slot.partial_bytes = TableBytes(*partial);
-      slot.table = std::move(*partial);
-      return;
     }
-
-    // Plain row scan: apply the pushed-down filter in place.
-    if (scan.filter) {
-      // Cloned per worker: Bind() caches column indices in place.
-      sql::ExprPtr f = scan.filter->Clone();
-      Status bind = f->Bind(shard_tables[static_cast<size_t>(i)]->schema());
-      if (!bind.ok()) {
-        slot.status = bind;
-        return;
+    OFI_ASSIGN_OR_RETURN(std::optional<std::vector<uint32_t>> sel,
+                         RunColumnarFilter(ct, *pred, sopts, &slot.stats));
+    // Fold snapshot exclusions into the selection so every downstream
+    // consumer sees one sorted selection (kernel filter output is
+    // ascending; View::excluded is sorted).
+    if (!view.excluded.empty()) {
+      std::vector<uint32_t> kept;
+      if (sel.has_value()) {
+        kept.reserve(sel->size());
+        std::set_difference(sel->begin(), sel->end(), view.excluded.begin(),
+                            view.excluded.end(), std::back_inserter(kept));
+      } else {
+        kept.reserve(ct.sealed_rows() - view.excluded.size());
+        size_t e = 0;
+        for (uint32_t r = 0; r < ct.sealed_rows(); ++r) {
+          if (e < view.excluded.size() && view.excluded[e] == r) {
+            ++e;
+            continue;
+          }
+          kept.push_back(r);
+        }
       }
-      std::vector<Row> kept;
-      kept.reserve(rows->size());
-      for (auto& row : *rows) {
-        Value v = f->Eval(row);
-        if (!v.is_null() && v.AsBool()) kept.push_back(std::move(row));
-      }
-      *rows = std::move(kept);
+      sel = std::move(kept);
     }
-    slot.table = Table(shard_tables[static_cast<size_t>(i)]->schema(),
-                       std::move(*rows));
+    // The delta half of the union: visible tail rows, filtered exactly as
+    // the kernels filter the sealed half.
+    std::vector<Row> delta_matched;
+    delta_matched.reserve(view.delta_rows.size());
+    for (auto& row : view.delta_rows) {
+      if (DeltaRowMatches(*pred, ct.schema(), row)) {
+        delta_matched.push_back(std::move(row));
+      }
+    }
+    const std::vector<uint32_t>* sel_ptr = sel.has_value() ? &*sel : nullptr;
+    if (kernel_path) {
+      const std::vector<AggSpec> partial_specs = PartialSpecs();
+      Table partial;
+      if (agg_group_.empty()) {
+        OFI_ASSIGN_OR_RETURN(
+            partial, RunColumnarKernelAgg(ct, sel_ptr, pred->never,
+                                          partial_specs, sopts, &slot.stats));
+        OFI_RETURN_NOT_OK(MergeDeltaIntoKernelAgg(&partial, partial_specs,
+                                                  ct.schema(), delta_matched));
+      } else {
+        // Grouped kernel. An unsatisfiable predicate arrives as an empty
+        // selection; no filter at all means the whole table.
+        OFI_ASSIGN_OR_RETURN(
+            partial, RunColumnarGroupedAgg(ct, agg_group_, sel_ptr,
+                                           partial_specs, sopts, &slot.stats));
+        OFI_RETURN_NOT_OK(MergeDeltaIntoGroupedAgg(
+            &partial, agg_group_, partial_specs, ct.schema(), delta_matched));
+      }
+      slot.partial_bytes = TableBytes(partial);
+      slot.table = std::move(partial);
+      return Status::OK();
+    }
+    // Materialize: decode the selection (chunk on demand — only chunks
+    // holding selected rows are decoded and charged, matching the kernels'
+    // accounting units of one column-chunk each), then offer it and the
+    // matching delta-tail rows to the sink without the filter the kernel
+    // already applied. Row order is the columnar clustering order with the
+    // tail last, not the MVCC heap order; consumers treat shard output as
+    // unordered.
+    std::vector<uint32_t> all;
+    if (sel_ptr == nullptr) {
+      all.resize(ct.sealed_rows());
+      for (uint32_t k = 0; k < all.size(); ++k) all[k] = k;
+      sel_ptr = &all;
+    }
+    OFI_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                         ct.MaterializeRows(*sel_ptr, &slot.stats));
+    OFI_ASSIGN_OR_RETURN(ShardSink sink,
+                         MakeSink(ct.schema(), nullptr, fused,
+                                  /*count_naive=*/false));
+    for (Row& row : rows) sink.Add(std::move(row));
+    for (Row& row : delta_matched) sink.Add(std::move(row));
+    sink.Finish(&slot);
+    return Status::OK();
   };
-  RunScatter(opts_.parallel, n_, run_shard);
+  RunScatter(opts_.parallel, n_, [&](int i) {
+    slots[static_cast<size_t>(i)].status = scan_shard(i);
+  });
 
-  // Deferred latency. Columnar shards: fixed setup + per-chunk service for
-  // chunks actually scanned + per-block service for delta-tail records
-  // examined (zone-map-pruned chunks cost nothing; a long unmerged tail
-  // shows up directly in sim_latency_us — the incentive to merge). Row
-  // shards: statement setup + per-256-row block service for the heap rows
-  // walked, so scan cost scales with shard size — the baseline an index
-  // probe beats.
+  // Deferred latency. Index probes: fixed probe setup + per-returned-row
+  // copy-out — no heap walk, no per-block scan service; this asymmetry is
+  // the whole point-lookup win the optimizer's crossover banks on.
+  // Columnar shards: fixed setup + per-chunk service for chunks actually
+  // scanned + per-block service for delta-tail records examined
+  // (zone-map-pruned chunks cost nothing; a long unmerged tail shows up
+  // directly in sim_latency_us — the incentive to merge). Row shards:
+  // statement setup + per-256-row block service for the heap rows walked,
+  // so scan cost scales with shard size — the baseline an index probe
+  // beats.
   for (int i = 0; i < n_; ++i) {
-    if (col_shards[static_cast<size_t>(i)] != nullptr) {
-      frontier_[static_cast<size_t>(i)] = cluster_->ChargeDnColumnarScan(
-          serving_[i], frontier_[static_cast<size_t>(i)],
-          slots[static_cast<size_t>(i)].stats.chunks_scanned,
-          slots[static_cast<size_t>(i)].stats.delta_rows);
+    const size_t si = static_cast<size_t>(i);
+    if (index_scan) {
+      frontier_[si] = cluster_->ChargeDnIndexProbe(
+          serving_[i], frontier_[si], slots[si].stats.index_rows);
+    } else if (col_shards[si] != nullptr) {
+      frontier_[si] = cluster_->ChargeDnColumnarScan(
+          serving_[i], frontier_[si], slots[si].stats.chunks_scanned,
+          slots[si].stats.delta_rows);
     } else {
-      frontier_[static_cast<size_t>(i)] = cluster_->ChargeDnRowScan(
-          serving_[i], frontier_[static_cast<size_t>(i)],
-          slots[static_cast<size_t>(i)].rows_examined);
+      frontier_[si] = cluster_->ChargeDnRowScan(serving_[i], frontier_[si],
+                                                slots[si].rows_examined);
     }
   }
 
@@ -1241,15 +1269,17 @@ Status DistPlanExecutor::ExecScanFragment(const DistOp& scan, bool fused,
   const bool wanted_columnar =
       scan.path == ScanPath::kColumnar && cluster_->IsColumnar(table);
   for (int i = 0; i < n_; ++i) {
+    const size_t si = static_cast<size_t>(i);
     DistExecStats::DnScanInfo info;
     info.dn = serving_[i];
     info.table = table;
-    info.stats = slots[static_cast<size_t>(i)].stats;
-    if (col_shards[static_cast<size_t>(i)] != nullptr) {
+    info.stats = slots[si].stats;
+    if (index_scan) {
+      info.path = "index(" + BareName(scan.index_column) + ")";
+      stats_.scan_stats.index_rows += slots[si].stats.index_rows;
+    } else if (col_shards[si] != nullptr) {
       if (!fused) {
         info.path = "columnar(materialize)";
-      } else if (kernel_path) {
-        info.path = KernelSupportDetail(!agg_group_.empty(), support);
       } else if (forced_materialize) {
         info.path = "columnar(materialize:forced)";
       } else {
@@ -1260,128 +1290,6 @@ Status DistPlanExecutor::ExecScanFragment(const DistOp& scan, bool fused,
     } else {
       info.path = "row";
     }
-    stats_.per_dn.push_back(std::move(info));
-  }
-  return Status::OK();
-}
-
-Status DistPlanExecutor::ExecIndexScanFragment(const DistOp& scan, bool fused,
-                                               std::vector<FragSlot>* slots_out) {
-  const std::string& table = scan.table;
-  std::vector<storage::MvccTable*> shard_tables(serving_.size(), nullptr);
-  std::vector<std::shared_ptr<storage::SecondaryIndex>> shard_indexes(
-      serving_.size());
-  for (int i = 0; i < n_; ++i) {
-    OFI_ASSIGN_OR_RETURN(shard_tables[static_cast<size_t>(i)],
-                         cluster_->dn(serving_[i])->GetTable(table));
-    shard_indexes[static_cast<size_t>(i)] =
-        cluster_->IndexOn(serving_[i], table, scan.index_col);
-    if (shard_indexes[static_cast<size_t>(i)] == nullptr) {
-      // Dropped between lowering and execution; the caller retries via scan.
-      return Status::NotFound("index on " + scan.index_column +
-                              " no longer exists on dn" +
-                              std::to_string(serving_[i]));
-    }
-  }
-
-  // Phase 1: open every shard context; the probe itself is charged after
-  // phase 2, when the returned-row count is known (deferred like the scans:
-  // per-DN resources are independent, so order does not change the result).
-  for (int i = 0; i < n_; ++i) {
-    OFI_ASSIGN_OR_RETURN(
-        frontier_[static_cast<size_t>(i)],
-        reader_->PrepareShard(serving_[i], frontier_[static_cast<size_t>(i)]));
-  }
-
-  // Phase 2: probe each shard's index under this transaction's snapshot,
-  // re-apply the FULL original predicate as the residual (the probe only
-  // guarantees the indexed conjunct), then optionally fuse the partial
-  // aggregate — result rows are bit-identical to the scan this replaced,
-  // up to shard-output order, which consumers treat as unordered.
-  std::vector<FragSlot>& slots = *slots_out;
-  auto run_shard = [&](int i) {
-    const int dn = serving_[i];
-    FragSlot& slot = slots[static_cast<size_t>(i)];
-    auto vis = reader_->VisibilityForPrepared(dn);
-    if (!vis.ok()) {
-      slot.status = vis.status();
-      return;
-    }
-    std::vector<Row> probed;
-    if (scan.probe_is_range) {
-      probed = shard_indexes[static_cast<size_t>(i)]->RangeProbe(
-          scan.probe_lo, scan.probe_hi, *vis);
-    } else {
-      probed =
-          shard_indexes[static_cast<size_t>(i)]->Probe(scan.probe_eq, *vis);
-    }
-    slot.stats.index_rows = probed.size();
-    for (const auto& row : probed) slot.naive_bytes += sql::RowByteSize(row);
-
-    if (scan.filter) {
-      // Cloned per worker: Bind() caches column indices in place.
-      sql::ExprPtr f = scan.filter->Clone();
-      Status bind = f->Bind(shard_tables[static_cast<size_t>(i)]->schema());
-      if (!bind.ok()) {
-        slot.status = bind;
-        return;
-      }
-      std::vector<Row> kept;
-      kept.reserve(probed.size());
-      for (auto& row : probed) {
-        Value v = f->Eval(row);
-        if (!v.is_null() && v.AsBool()) kept.push_back(std::move(row));
-      }
-      probed = std::move(kept);
-    }
-
-    if (fused) {
-      std::vector<AggSpec> partial_specs;
-      for (const auto& p : plans_) {
-        for (const auto& spec : p.partial) {
-          partial_specs.push_back(AggSpec{
-              spec.func, spec.arg ? spec.arg->Clone() : nullptr, spec.name});
-        }
-      }
-      sql::Catalog shard_catalog;
-      shard_catalog.Register(
-          "shard", Table(shard_tables[static_cast<size_t>(i)]->schema(),
-                         std::move(probed)));
-      // Residual already applied above — aggregate without a filter.
-      sql::PlanPtr agg_plan = sql::MakeAggregate(sql::MakeScan("shard"),
-                                                 agg_group_, partial_specs);
-      sql::Executor exec(&shard_catalog);
-      auto partial = exec.Execute(agg_plan);
-      if (!partial.ok()) {
-        slot.status = partial.status();
-        return;
-      }
-      slot.partial_bytes = TableBytes(*partial);
-      slot.table = std::move(*partial);
-      return;
-    }
-    slot.table = Table(shard_tables[static_cast<size_t>(i)]->schema(),
-                       std::move(probed));
-  };
-  RunScatter(opts_.parallel, n_, run_shard);
-
-  // Deferred probe charge: fixed probe setup + per-returned-row copy-out.
-  // No heap walk, no per-block scan service — this asymmetry is the whole
-  // point-lookup win the optimizer's crossover banks on.
-  for (int i = 0; i < n_; ++i) {
-    frontier_[static_cast<size_t>(i)] = cluster_->ChargeDnIndexProbe(
-        serving_[i], frontier_[static_cast<size_t>(i)],
-        slots[static_cast<size_t>(i)].stats.index_rows);
-  }
-
-  for (int i = 0; i < n_; ++i) {
-    DistExecStats::DnScanInfo info;
-    info.dn = serving_[i];
-    info.table = table;
-    info.path = "index(" + BareName(scan.index_column) + ")";
-    info.stats = slots[static_cast<size_t>(i)].stats;
-    stats_.scan_stats.index_rows +=
-        slots[static_cast<size_t>(i)].stats.index_rows;
     stats_.per_dn.push_back(std::move(info));
   }
   return Status::OK();
@@ -1415,8 +1323,8 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
   // Strategy decision. Estimated relation sizes come from optimizer stats
   // when a registry was wired through; otherwise from the actual scanned
   // encoded sizes (exact, but unavailable to a real planner — that is
-  // precisely what the stats path models). A caller override wins, then a
-  // plan-time choice, then the cost formula.
+  // precisely what the stats path models). A plan-time choice wins over
+  // the cost formula.
   double est_left = static_cast<double>(actual_left_bytes);
   double est_right = static_cast<double>(actual_right_bytes);
   if (opts_.stats != nullptr) {
@@ -1428,17 +1336,10 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
     }
   }
   stats_.broadcast_left = est_left <= est_right;
-  JoinStrategy strategy = opts_.strategy_override;
-  if (strategy == JoinStrategy::kAuto) strategy = join.strategy;
-  if (strategy == JoinStrategy::kAuto) {
-    // Broadcast ships the small side to the N-1 other nodes; repartition
-    // ships the (N-1)/N fraction of both sides that hashes off-node.
-    double cost_broadcast = std::min(est_left, est_right) * (n_ - 1);
-    double cost_repartition =
-        (est_left + est_right) * static_cast<double>(n_ - 1) / std::max(n_, 1);
-    strategy = cost_broadcast <= cost_repartition ? JoinStrategy::kBroadcast
-                                                  : JoinStrategy::kRepartition;
-  }
+  const JoinStrategy strategy =
+      join.strategy != JoinStrategy::kAuto
+          ? join.strategy
+          : ChooseJoinStrategy(est_left, est_right, n_);
   stats_.strategy = strategy;
 
   // Data movement: repartition moves both relations, broadcast only the
@@ -1549,16 +1450,7 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
     sql::PlanPtr plan = sql::MakeJoin(
         sql::MakeValues(Table(left_schema_, std::move(lrows))),
         sql::MakeValues(Table(right_schema_, std::move(rrows))), pred);
-    if (fused) {
-      std::vector<AggSpec> partial_specs;
-      for (const auto& p : plans_) {
-        for (const auto& spec : p.partial) {
-          partial_specs.push_back(AggSpec{
-              spec.func, spec.arg ? spec.arg->Clone() : nullptr, spec.name});
-        }
-      }
-      plan = sql::MakeAggregate(plan, agg_group_, partial_specs);
-    }
+    if (fused) plan = sql::MakeAggregate(plan, agg_group_, PartialSpecs());
     sql::Catalog catalog;  // Values plans read no tables
     sql::Executor exec(&catalog);
     auto joined = exec.Execute(plan);
@@ -1658,19 +1550,17 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
   return Status::OK();
 }
 
-Result<Table> DistPlanExecutor::FinalAggregate(Table partial_union) {
+Result<Table> DistPlanExecutor::FinalAggregate(const Table& partial_union) {
   // Final aggregation over the partials at the CN.
-  sql::Catalog cn_catalog;
-  cn_catalog.Register("partials", std::move(partial_union));
   std::vector<AggSpec> final_specs;
   for (const auto& p : plans_) {
     final_specs.insert(final_specs.end(), p.final_specs.begin(),
                        p.final_specs.end());
   }
-  sql::PlanPtr final_plan =
-      sql::MakeAggregate(sql::MakeScan("partials"), agg_group_, final_specs);
-  sql::Executor cn_exec(&cn_catalog);
-  OFI_ASSIGN_OR_RETURN(Table merged, cn_exec.Execute(final_plan));
+  sql::Aggregator final_agg(agg_group_, std::move(final_specs));
+  OFI_RETURN_NOT_OK(final_agg.Bind(partial_union.schema()));
+  for (const Row& row : partial_union.rows()) final_agg.Add(row);
+  Table merged = final_agg.Finish();
 
   // Project to the requested names/order. AVG's post-division is done here
   // in code rather than as a `/` expression so the SQL-standard edge case is
@@ -2159,12 +2049,8 @@ DistLowering LowerSelectPlan(const sql::PlanPtr& logical, Cluster* cluster,
     if (lstats != nullptr && rstats != nullptr) {
       const double est_l = lstats->EstimatedBytes();
       const double est_r = rstats->EstimatedBytes();
-      const int n = static_cast<int>(serving.size());
-      const double cost_broadcast = std::min(est_l, est_r) * (n - 1);
-      const double cost_repartition =
-          (est_l + est_r) * static_cast<double>(n - 1) / std::max(n, 1);
-      strategy = cost_broadcast <= cost_repartition ? JoinStrategy::kBroadcast
-                                                    : JoinStrategy::kRepartition;
+      strategy =
+          ChooseJoinStrategy(est_l, est_r, static_cast<int>(serving.size()));
       if (strategy == JoinStrategy::kBroadcast) {
         const bool broadcast_left = est_l <= est_r;
         left_in = broadcast_left

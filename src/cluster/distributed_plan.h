@@ -4,16 +4,20 @@
 /// is a small tree of composable physical operators run by one executor,
 /// ExecuteDistPlan:
 ///
-///   DistScan       per-DN shard scan (row store or columnar kernels) with
-///                  the filter pushed below any data movement
+///   DistScan       per-DN shard scan: one fragment whose three row sources
+///                  (the MVCC heap visited in place, an index probe for
+///                  DistIndexScan, or the columnar view's kernels) feed one
+///                  sink that applies the pushed filter below any data
+///                  movement
 ///   DistExchange   shuffle / broadcast annotation on a join input (the
 ///                  data movement itself is executed cooperatively by the
 ///                  consuming join, because both relations' traffic shares
 ///                  each DN's serialized resource in one exchange step)
 ///   DistHashJoin   per-DN src/sql hash join over local + exchanged rows
 ///   DistPartialAgg per-DN partial aggregation, fused into its child
-///                  fragment's statement (scan+agg or join+agg is one
-///                  statement on the DN)
+///                  fragment: a scan's sink folds each passing row into a
+///                  sql::Aggregator (or pure column kernels serve it), and a
+///                  join aggregates its output in the same statement
 ///   Gather         CN-side union of per-DN partials in DN order
 ///   DistFinalAgg   CN-side final aggregation (COUNT->sum of counts,
 ///                  AVG->sum/count division) over the gathered partials
@@ -123,7 +127,9 @@ struct DistOp {
   // kDistHashJoin
   std::string left_key, right_key;
   sql::ExprPtr residual;  // evaluated on the joined row
-  /// kAuto = resolve at execution from stats (or actual scanned bytes).
+  /// kAuto = resolve at execution from stats (or actual scanned bytes);
+  /// kBroadcast / kRepartition force that strategy (hand-built plans pass
+  /// it to MakeDistHashJoin).
   JoinStrategy strategy = JoinStrategy::kAuto;
 
   // kDistPartialAgg / kDistFinalAgg
@@ -171,7 +177,12 @@ DistOpPtr MakeGather(DistOpPtr child, bool gather_rows);
 
 // --- Execution ---------------------------------------------------------------
 
-/// Knobs for executing a distributed physical plan.
+/// Knobs for executing a distributed physical plan: scatter mode
+/// (parallel), access-path permissions for lowering (use_index,
+/// use_columnar), exchange batching and memory (batch_rows,
+/// max_channel_bytes, spill_dir, max_spill_bytes, max_build_bytes), join
+/// sizing (stats) and the exchange schedule (pipeline). The join strategy
+/// is a plan property (DistOp::strategy), not an option.
 struct DistExecOptions {
   /// Run per-DN fragments on common::ThreadPool::Shared(). When false the
   /// scatter executes inline on the caller thread. Results and simulated
@@ -207,8 +218,6 @@ struct DistExecOptions {
   /// Stats for the kAuto broadcast-vs-repartition decision; null falls
   /// back to actual scanned encoded sizes.
   const optimizer::StatsRegistry* stats = nullptr;
-  /// Forced join strategy; kAuto defers to the plan node, then to cost.
-  JoinStrategy strategy_override = JoinStrategy::kAuto;
   /// The exchange schedule: when a join's consumers may run in the
   /// simulated-time exchange loop (exchange::RunExchange), whose producers
   /// always stream batches as each partition fills.

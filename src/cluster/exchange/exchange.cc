@@ -715,6 +715,33 @@ ExchangeRun RunExchange(const std::vector<ExchangeNetwork*>& nets,
   std::vector<Consumer> cons(n);
   for (size_t i = 0; i < n; ++i) prod[i].clock = cons[i].clock = start[i];
   size_t open_producers = n;
+  // Close state per (net, producer): net k's channels from producer i
+  // close as soon as i's last input on k ends, so a consumer draining net k
+  // never waits for i's later nets. net_end[k * n + i] is one past the
+  // index of i's last input on net k (0 = none: closed from the start).
+  struct NetClose {
+    bool closed = false;
+    SimTime at = 0;  // producer clock at the close
+    Status status = Status::OK();
+  };
+  std::vector<NetClose> net_close(nk * n);
+  std::vector<size_t> net_end(nk * n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t e = 0; e < inputs[i].size(); ++e) {
+      net_end[inputs[i][e].net * n + i] = e + 1;
+    }
+  }
+  auto close_net = [&](size_t k, size_t i, const Status& st) {
+    NetClose& c = net_close[k * n + i];
+    if (c.closed) return;
+    c = NetClose{true, prod[i].clock, st};
+    nets[k]->CloseAllFrom(static_cast<int>(i), st);
+  };
+  for (size_t k = 0; k < nk; ++k) {
+    for (size_t i = 0; i < n; ++i) {
+      if (net_end[k * n + i] == 0) close_net(k, i, Status::OK());
+    }
+  }
   // arrival[(k * n + i) * n + j]: when each batch queued on net k's i->j
   // channel may be popped, in the channel's FIFO order.
   std::vector<std::deque<SimTime>> arrival(nk * n * n);
@@ -722,10 +749,12 @@ ExchangeRun RunExchange(const std::vector<ExchangeNetwork*>& nets,
     return arrival[(k * n + i) * n + j];
   };
 
+  // The producer is done: every net still open (only after a failure)
+  // closes with its status.
   auto close = [&](size_t i, Status st) {
     prod[i].done = true;
     out.producer_done[i] = prod[i].clock;
-    for (ExchangeNetwork* net : nets) net->CloseAllFrom(static_cast<int>(i), st);
+    for (size_t k = 0; k < nk; ++k) close_net(k, i, st);
     out.producer_status[i] = std::move(st);
     if (--open_producers == 0 && schedule == ExchangeSchedule::kBarrier) {
       // The barrier opens: each consumer starts once the last close into
@@ -778,7 +807,8 @@ ExchangeRun RunExchange(const std::vector<ExchangeNetwork*>& nets,
           close(i, std::move(st));
           return;
         }
-        ++pr.input;
+        const size_t k = in.net;
+        if (net_end[k * n + i] == ++pr.input) close_net(k, i, Status::OK());
       }
     }
   };
@@ -786,7 +816,7 @@ ExchangeRun RunExchange(const std::vector<ExchangeNetwork*>& nets,
   // When consumer j's next step is due; nullopt while it waits on an open,
   // empty channel (under the barrier schedule, on any open producer).
   // Passing a drained, cleanly closed channel takes no step: the consumer
-  // notes the close, seen one hop after that producer's last encode.
+  // notes the close, seen one hop after that net's close.
   auto due = [&](size_t j) -> std::optional<SimTime> {
     Consumer& c = cons[j];
     if (schedule == ExchangeSchedule::kBarrier && open_producers > 0) {
@@ -795,9 +825,10 @@ ExchangeRun RunExchange(const std::vector<ExchangeNetwork*>& nets,
     while (c.net < nk) {
       const std::deque<SimTime>& q = arrivals(c.net, c.src, j);
       if (!q.empty()) return std::max(c.clock, q.front());
-      if (!prod[c.src].done) return std::nullopt;
-      c.clock = std::max(c.clock, out.producer_done[c.src] + hop(c.src, j));
-      if (!out.producer_status[c.src].ok()) return c.clock;  // pop fails
+      const NetClose& closed = net_close[c.net * n + c.src];
+      if (!closed.closed) return std::nullopt;
+      c.clock = std::max(c.clock, closed.at + hop(c.src, j));
+      if (!closed.status.ok()) return c.clock;  // pop fails
       if (++c.src == n) {
         c.src = 0;
         ++c.net;

@@ -539,7 +539,8 @@ struct ExchangeRun {
   /// Input fully decoded (and spill paid): when the consumer-side
   /// join/merge may start.
   std::vector<SimTime> ready;
-  /// Producer i finished encoding its last batch and closed its channels.
+  /// Producer i finished encoding its last batch and closed its channels
+  /// on every net.
   std::vector<SimTime> producer_done;
   /// Start of the node's first decode charge (ready[j] when it decodes
   /// nothing).
@@ -554,11 +555,12 @@ struct ExchangeRun {
 
 /// Executes an exchange and charges it in simulated time, in one
 /// deterministic single-threaded loop. Producer i streams `inputs[i]` in
-/// order, each through a StreamingScatter under a ScatterGuard, then closes
-/// its channels on every net (with the error on failure). Consumer j drains
-/// net-major, then source-node order, then send order. The loop always runs
-/// the due step with the smallest simulated time (ties: producers first,
-/// then lower node id):
+/// order, each through a StreamingScatter under a ScatterGuard. It closes
+/// its channels on net k as soon as its last input on k ends (from the
+/// start when it has none), and on a failure closes every net still open
+/// with the error. Consumer j drains net-major, then source-node order,
+/// then send order. The loop always runs the due step with the smallest
+/// simulated time (ties: producers first, then lower node id):
 ///
 /// * A producer step starts at the end of the producer's previous encode
 ///   (start[i] at first) and pushes rows until at least one batch flushes.
@@ -571,8 +573,9 @@ struct ExchangeRun {
 ///   charges the decode of a cross-node batch on the consumer's resource,
 ///   telescoped the same way. Sharing the resource serializes a node's
 ///   decodes against its own encodes. A consumer whose next channel is
-///   empty and still open waits until that producer sends to it or closes;
-///   a remote close is seen one hop after the producer's last encode.
+///   empty and still open waits until that producer sends to it or closes
+///   that net; a remote close is seen one hop after the producer's last
+///   encode before it.
 /// * kPipelined lets consumer j run from start[j]; kBarrier holds it until
 ///   every channel into j has closed.
 /// * Sends and pops hit the real channels in this order, so a capped

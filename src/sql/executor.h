@@ -5,11 +5,51 @@
 /// optimizer (src/optimizer) can harvest estimate/actual differentials.
 #pragma once
 
+#include <unordered_map>
+
 #include "common/result.h"
 #include "sql/plan.h"
 #include "sql/table.h"
 
 namespace ofi::sql {
+
+/// \brief Hash aggregation over a stream of rows: the one GROUP BY +
+/// COUNT/SUM/MIN/MAX/AVG state behind Executor's Aggregate node, the
+/// per-DN fused partial aggregate and the CN final aggregate.
+///
+/// Bind once on the input schema, Add each row, then Finish once (it hands
+/// over the accumulated state). The output has the group columns (the
+/// input schema's Column for each key), then one column per spec: COUNT is
+/// int64, AVG double, and SUM/MIN/MAX take the type of the first added
+/// row's argument value (kNull when no row was added, or when that value
+/// was NULL). A global aggregate over no rows yields one row of COUNT 0 /
+/// NULL. Aggregates skip NULL arguments; integer SUM wraps (WrapAdd).
+/// Binding resolves the argument expressions in place, so concurrent
+/// aggregators need their own spec clones.
+class Aggregator {
+ public:
+  Aggregator(std::vector<std::string> group_by, std::vector<AggSpec> specs)
+      : group_by_(std::move(group_by)), specs_(std::move(specs)) {}
+
+  Status Bind(const Schema& input);
+  void Add(const Row& row);
+  Table Finish();
+
+ private:
+  struct State {
+    Row group_key;
+    std::vector<int64_t> counts;
+    std::vector<Value> accum;  // SUM/MIN/MAX/AVG accumulators
+  };
+
+  std::vector<std::string> group_by_;
+  std::vector<AggSpec> specs_;
+  std::vector<size_t> group_idx_;
+  std::vector<Column> out_cols_;  // groups, then one per spec
+  bool typed_ = false;            // out_cols_ typed by the first Add
+  std::unordered_map<size_t, std::vector<State>> groups_;
+  size_t num_groups_ = 0;
+};
 
 /// \brief Executes logical plans against a catalog.
 class Executor {

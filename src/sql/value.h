@@ -86,6 +86,22 @@ class Value {
   std::variant<std::monostate, bool, int64_t, double, std::string> payload_;
 };
 
+/// Two's-complement wrapping int64 addition, the one integer SUM rule:
+/// the row executor, the column kernels and the delta-tail merges all wrap
+/// modularly, so partials combine associatively, every path agrees bit for
+/// bit, and overflow is defined behaviour.
+inline int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
+/// Wrapping int64 multiplication: `WrapMul(x, n)` equals n wrapped
+/// additions of x (run-length-encoded sums).
+inline int64_t WrapMul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                              static_cast<uint64_t>(b));
+}
+
 }  // namespace ofi::sql
 
 namespace std {

@@ -462,7 +462,7 @@ struct AggPartial {
   int64_t max = std::numeric_limits<int64_t>::min();
 
   void MergeFrom(const AggPartial& o) {
-    sum += o.sum;
+    sum = sql::WrapAdd(sum, o.sum);
     count += o.count;
     min = std::min(min, o.min);
     max = std::max(max, o.max);
@@ -504,13 +504,14 @@ Result<std::optional<int64_t>> ColumnTable::SumInt64(
             const uint32_t len = chunk.rle_lengths[r];
             const int64_t valid_len = static_cast<int64_t>(
                 BitmapCountValid(chunk.validity, off, off + len));
-            p.sum += chunk.rle_values[r] * valid_len;
+            p.sum = sql::WrapAdd(
+                p.sum, sql::WrapMul(chunk.rle_values[r], valid_len));
             off += len;
           }
         } else {
           st.rows_decoded += chunk.plain.size();
           for (size_t i = 0; i < chunk.plain.size(); ++i) {
-            if (chunk.ValidAt(i)) p.sum += chunk.plain[i];
+            if (chunk.ValidAt(i)) p.sum = sql::WrapAdd(p.sum, chunk.plain[i]);
           }
         }
       }
@@ -552,7 +553,7 @@ Result<std::optional<int64_t>> ColumnTable::SumInt64(
     ensure_chunk(row);
     if (chunk_idx >= chunks.size()) break;
     if (!chunks[chunk_idx].ValidAt(row - chunk_start)) continue;
-    sum += decoded[row - chunk_start];
+    sum = sql::WrapAdd(sum, decoded[row - chunk_start]);
     ++count;
   }
   st.chunks_total = chunks.size();
@@ -812,7 +813,7 @@ struct GroupTable {
         break;
       case GroupedAggOp::kSum:
         if (valid) {
-          a.value[g] += v;
+          a.value[g] = sql::WrapAdd(a.value[g], v);
           ++a.count[g];
         }
         break;
@@ -854,7 +855,7 @@ struct GroupTable {
           case GroupedAggOp::kCountStar:
           case GroupedAggOp::kCount:
           case GroupedAggOp::kSum:
-            dst.value[g] += src.value[og];
+            dst.value[g] = sql::WrapAdd(dst.value[g], src.value[og]);
             break;
           case GroupedAggOp::kMin:
             dst.value[g] = std::min(dst.value[g], src.value[og]);

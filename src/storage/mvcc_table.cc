@@ -110,12 +110,8 @@ Result<sql::Row> MvccTable::Read(const sql::Value& key,
 
 std::vector<sql::Row> MvccTable::ScanVisible(
     const txn::VisibilityChecker& vis) const {
-  std::shared_lock lock(mu_);
   std::vector<sql::Row> out;
-  for (const auto& [key, chain] : chains_) {
-    int idx = FindVisible(chain, vis);
-    if (idx >= 0) out.push_back(chain[idx].data);
-  }
+  ForEachVisible(vis, [&out](const sql::Row& row) { out.push_back(row); });
   return out;
 }
 

@@ -87,8 +87,21 @@ class MvccTable {
   Result<sql::Row> Read(const sql::Value& key,
                         const txn::VisibilityChecker& vis) const;
 
-  /// Full scan: all visible rows, in unspecified order.
+  /// Full scan: all visible rows, in unspecified order (the order
+  /// ForEachVisible visits them in).
   std::vector<sql::Row> ScanVisible(const txn::VisibilityChecker& vis) const;
+
+  /// Calls `fn(const sql::Row&)` on every visible row, under the shared
+  /// lock and without copying it, in the heap's iteration order. `fn` must
+  /// not re-enter the table.
+  template <typename Fn>
+  void ForEachVisible(const txn::VisibilityChecker& vis, Fn&& fn) const {
+    std::shared_lock lock(mu_);
+    for (const auto& [key, chain] : chains_) {
+      int idx = FindVisible(chain, vis);
+      if (idx >= 0) fn(chain[static_cast<size_t>(idx)].data);
+    }
+  }
 
   /// Undoes the effects of an aborted transaction: clears xmax it set and
   /// leaves its insertions dead (their xmin is aborted, so they are

@@ -39,16 +39,17 @@ struct JoinQuery {
   sql::ExprPtr right_filter;
   sql::ExprPtr residual;
 
-  /// Row scans feeding a hash join, gathered as rows. The plan's strategy
-  /// stays kAuto; force one with DistExecOptions::strategy_override.
-  DistOpPtr Plan() const {
+  /// Row scans feeding a hash join, gathered as rows. kAuto lets the
+  /// executor choose the join strategy from sizes; kBroadcast /
+  /// kRepartition force it.
+  DistOpPtr Plan(JoinStrategy strategy = JoinStrategy::kAuto) const {
     auto clone = [](const sql::ExprPtr& e) {
       return e ? e->Clone() : nullptr;
     };
     return MakeGather(
         MakeDistHashJoin(MakeDistScan(left_table, clone(left_filter)),
                          MakeDistScan(right_table, clone(right_filter)),
-                         left_key, right_key, clone(residual)),
+                         left_key, right_key, clone(residual), strategy),
         /*gather_rows=*/true);
   }
 };

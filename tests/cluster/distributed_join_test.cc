@@ -128,8 +128,7 @@ class DistributedJoinTest : public ::testing::Test {
 
   void ExpectMatchesReference(const JoinQuery& spec, JoinStrategy strategy) {
     DistExecOptions opts;
-    opts.strategy_override = strategy;
-    auto result = ExecuteDistPlan(&cluster_, spec.Plan(), opts);
+    auto result = ExecuteDistPlan(&cluster_, spec.Plan(strategy), opts);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectSameRows(result->table, ReferenceJoin(orders_, customers_, spec));
   }
@@ -154,14 +153,13 @@ TEST_F(DistributedJoinTest, TinyChannelCapSpillsEveryExchangeBitIdentical) {
   LoadRandom(300, 40, /*seed=*/101);
   for (auto strategy : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
     DistExecOptions plain;
-    plain.strategy_override = strategy;
-    auto uncapped = ExecuteDistPlan(&cluster_, Spec().Plan(), plain);
+    auto uncapped = ExecuteDistPlan(&cluster_, Spec().Plan(strategy), plain);
     ASSERT_TRUE(uncapped.ok());
     EXPECT_EQ(uncapped->stats.spill_bytes, 0u);
 
     DistExecOptions capped = plain;
     capped.max_channel_bytes = 16;
-    auto spilled = ExecuteDistPlan(&cluster_, Spec().Plan(), capped);
+    auto spilled = ExecuteDistPlan(&cluster_, Spec().Plan(strategy), capped);
     ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
     EXPECT_GT(spilled->stats.spill_bytes, 0u);
     // Lifetime traffic accounting is cap-independent.
@@ -237,8 +235,7 @@ TEST_F(DistributedJoinTest, NullKeysNeverMatch) {
   InsertOrder({Value(int64_t{12}), Value::Null(), Value(int64_t{7})});
   for (auto s : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
     DistExecOptions opts;
-    opts.strategy_override = s;
-    auto result = ExecuteDistPlan(&cluster_, Spec().Plan(), opts);
+    auto result = ExecuteDistPlan(&cluster_, Spec().Plan(s), opts);
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->table.num_rows(), 1u);
     EXPECT_EQ(result->table.rows()[0][0].AsInt(), 11);
@@ -257,8 +254,7 @@ TEST_F(DistributedJoinTest, DuplicateKeysProduceFullCrossProductPerKey) {
   }
   for (auto s : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
     DistExecOptions opts;
-    opts.strategy_override = s;
-    auto result = ExecuteDistPlan(&cluster_, Spec().Plan(), opts);
+    auto result = ExecuteDistPlan(&cluster_, Spec().Plan(s), opts);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->table.num_rows(), 3u);
     ExpectSameRows(result->table, ReferenceJoin(orders_, customers_, Spec()));
@@ -282,8 +278,7 @@ TEST_F(DistributedJoinTest, SelfJoinWithDuplicatesOnBothSides) {
                    .ValueOrDie();
   for (auto s : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
     DistExecOptions opts;
-    opts.strategy_override = s;
-    auto result = ExecuteDistPlan(&cluster_, spec.Plan(), opts);
+    auto result = ExecuteDistPlan(&cluster_, spec.Plan(s), opts);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectSameRows(result->table, want);
   }
@@ -293,8 +288,7 @@ TEST_F(DistributedJoinTest, EmptyTablesAndEmptyShards) {
   // Both sides empty.
   for (auto s : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
     DistExecOptions opts;
-    opts.strategy_override = s;
-    auto result = ExecuteDistPlan(&cluster_, Spec().Plan(), opts);
+    auto result = ExecuteDistPlan(&cluster_, Spec().Plan(s), opts);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result->table.num_rows(), 0u);
     EXPECT_EQ(result->table.schema().num_columns(), 5u);
@@ -316,8 +310,7 @@ TEST_F(DistributedJoinTest, EmptyTablesAndEmptyShards) {
   }
   for (auto s : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
     DistExecOptions opts;
-    opts.strategy_override = s;
-    auto result = ExecuteDistPlan(&cluster_, Spec().Plan(), opts);
+    auto result = ExecuteDistPlan(&cluster_, Spec().Plan(s), opts);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->table.num_rows(), 4u);
     ExpectSameRows(result->table, ReferenceJoin(orders_, customers_, Spec()));
@@ -372,8 +365,8 @@ TEST_F(DistributedJoinTest, AutoPrefersRepartitionWhenBothSidesLarge) {
   EXPECT_EQ(result->stats.broadcast_bytes, 0u);
   // Repartition must also ship fewer bytes than forcing broadcast here.
   DistExecOptions bc;
-  bc.strategy_override = JoinStrategy::kBroadcast;
-  auto forced = ExecuteDistPlan(&cluster_, Spec().Plan(), bc);
+  auto forced = ExecuteDistPlan(
+      &cluster_, Spec().Plan(JoinStrategy::kBroadcast), bc);
   ASSERT_TRUE(forced.ok());
   EXPECT_LT(result->stats.shuffle_bytes, forced->stats.broadcast_bytes);
   ExpectSameRows(result->table, forced->table);
@@ -407,8 +400,8 @@ TEST_F(DistributedJoinTest, ChannelAccountingAndMetricsAreConsistent) {
   LoadRandom(250, 25, /*seed=*/9);
   cluster_.metrics().Reset();
   DistExecOptions opts;
-  opts.strategy_override = JoinStrategy::kRepartition;
-  auto result = ExecuteDistPlan(&cluster_, Spec().Plan(), opts);
+  auto result = ExecuteDistPlan(
+      &cluster_, Spec().Plan(JoinStrategy::kRepartition), opts);
   ASSERT_TRUE(result.ok());
   // Channel stats (cross-DN part) must sum to shuffle_bytes.
   size_t cross = 0, loop = 0;
@@ -467,8 +460,7 @@ TEST_F(DistributedJoinTest, FailoverServesEveryRowExactlyOnce) {
   JoinQuery spec{"orders", "customers", "cust", "c_id"};
   for (auto s : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
     DistExecOptions opts;
-    opts.strategy_override = s;
-    auto result = ExecuteDistPlan(&cluster, spec.Plan(), opts);
+    auto result = ExecuteDistPlan(&cluster, spec.Plan(s), opts);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectSameRows(result->table, ReferenceJoin(orders, customers, spec));
   }

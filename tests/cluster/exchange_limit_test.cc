@@ -129,9 +129,9 @@ TEST(ExchangeLimitTest, CappedJoinSpillsByDefaultAndDeniesOverSpillBudget) {
     const int64_t denied0 = cluster.metrics().Get("exchange.bytes_denied");
     // Unbounded run first: the join works, nothing spilled or denied.
     DistExecOptions opts;
-    opts.strategy_override = JoinStrategy::kRepartition;
     opts.pipeline = pipeline;
-    auto ok = ExecuteDistPlan(&cluster, spec.Plan(), opts);
+    auto ok = ExecuteDistPlan(
+        &cluster, spec.Plan(JoinStrategy::kRepartition), opts);
     ASSERT_TRUE(ok.ok());
     EXPECT_EQ(ok->table.num_rows(), 8u);
     EXPECT_EQ(ok->stats.spill_bytes, 0u);
@@ -143,7 +143,8 @@ TEST(ExchangeLimitTest, CappedJoinSpillsByDefaultAndDeniesOverSpillBudget) {
     // rows, only slower in simulated time. The stats report exactly what
     // the channels spilled.
     opts.max_channel_bytes = 16;
-    auto capped = ExecuteDistPlan(&cluster, spec.Plan(), opts);
+    auto capped = ExecuteDistPlan(
+        &cluster, spec.Plan(JoinStrategy::kRepartition), opts);
     ASSERT_TRUE(capped.ok());
     EXPECT_EQ(capped->table.num_rows(), 8u);
     EXPECT_GT(capped->stats.spill_bytes, 0u);
@@ -157,14 +158,16 @@ TEST(ExchangeLimitTest, CappedJoinSpillsByDefaultAndDeniesOverSpillBudget) {
     // fails loudly instead of silently dropping rows, counted in
     // exchange.bytes_denied.
     opts.max_spill_bytes = 1;
-    auto denied = ExecuteDistPlan(&cluster, spec.Plan(), opts);
+    auto denied = ExecuteDistPlan(
+        &cluster, spec.Plan(JoinStrategy::kRepartition), opts);
     ASSERT_FALSE(denied.ok());
     EXPECT_EQ(denied.status().code(), StatusCode::kResourceExhausted);
     EXPECT_GT(cluster.metrics().Get("exchange.bytes_denied"), denied0);
 
     // Roomy cap: behaves exactly like unbounded, whatever the spill budget.
     opts.max_channel_bytes = 1 << 20;
-    auto roomy = ExecuteDistPlan(&cluster, spec.Plan(), opts);
+    auto roomy = ExecuteDistPlan(
+        &cluster, spec.Plan(JoinStrategy::kRepartition), opts);
     ASSERT_TRUE(roomy.ok());
     EXPECT_EQ(roomy->table.num_rows(), 8u);
     EXPECT_EQ(roomy->stats.spill_bytes, 0u);

@@ -5,7 +5,8 @@
 /// destination, batches of at most batch_rows rows in input order, routed
 /// by HashForPartition), and the exchange loop under both schedules (the
 /// pipelined consumer frontier starts before the skewed producer's frontier
-/// ends, and capped channels spill the same bytes on every run).
+/// ends, a consumer drains a later net while a producer still streams it,
+/// and capped channels spill the same bytes on every run).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -367,6 +368,66 @@ TEST(ExchangePipelineTest, PipelinedExchangeOverlapsSkewedProducer) {
   EXPECT_EQ(again.producer_done, sim.producer_done);
   EXPECT_EQ(again.first_consume, sim.first_consume);
   EXPECT_EQ(again.overlap_us, sim.overlap_us);
+}
+
+TEST(ExchangePipelineTest, ConsumerDrainsLaterNetWhileProducerStreams) {
+  // Node 0 broadcasts a small relation on net 0, then a heavy one on net 1;
+  // node 1 sends only on net 1, so its net-0 channels are closed from the
+  // start. Each net closes as soon as its producer's last input on it
+  // ends, so the pipelined consumer on node 1 gets past net 0 early and
+  // decodes node 0's net-1 batches while node 0 is still encoding them. A
+  // close only after the producer's last input would hold node 1 on net 0
+  // until node 0 finished, and leave every net-1 decode after that.
+  const std::vector<Row> small = MakeRows(8, 1000);
+  const std::vector<Row> heavy = MakeRows(400, 1000);
+  const std::vector<Row> tail = MakeRows(4, 1000);
+  const exchange::ExchangeLatencyParams params;
+  auto run = [&](ExchangeNetwork* net0, ExchangeNetwork* net1,
+                 exchange::ExchangeSchedule schedule) {
+    SimScheduler sched;
+    const std::vector<int> resources = {sched.AddResource(),
+                                        sched.AddResource()};
+    const std::vector<std::vector<exchange::ScatterInput>> inputs = {
+        {{0, &small, std::nullopt}, {1, &heavy, std::nullopt}},
+        {{1, &tail, std::nullopt}}};
+    return exchange::RunExchange({net0, net1}, inputs, &sched, resources,
+                                 {0, 0}, params, schedule);
+  };
+  ExchangeNetwork piped0(2, /*batch_rows=*/8), piped1(2, /*batch_rows=*/8);
+  exchange::ExchangeRun piped =
+      run(&piped0, &piped1, exchange::ExchangeSchedule::kPipelined);
+  ExchangeNetwork barrier0(2, /*batch_rows=*/8), barrier1(2, /*batch_rows=*/8);
+  exchange::ExchangeRun barrier =
+      run(&barrier0, &barrier1, exchange::ExchangeSchedule::kBarrier);
+  for (const auto& st : piped.consumer_status) ASSERT_TRUE(st.ok());
+  for (const auto& st : barrier.consumer_status) ASSERT_TRUE(st.ok());
+
+  // Decode service of node 0's heavy net-1 traffic into node 1.
+  SimTime heavy_decode = 0;
+  for (const exchange::ChannelStats& ch : piped1.Stats()) {
+    if (ch.src == 0 && ch.dst == 1) {
+      heavy_decode =
+          exchange::ExchangeServiceTime(ch.bytes, ch.batches, params);
+    }
+  }
+  ASSERT_GT(heavy_decode, 0);
+  // Pipelined: most of that decode ran before node 0 finished, so node 1 is
+  // ready sooner after node 0's close than the decode alone would take.
+  EXPECT_LT(piped.ready[1],
+            piped.producer_done[0] + params.network_hop_us + heavy_decode);
+  // Barrier: every decode waits for the last close, as before.
+  EXPECT_GE(barrier.ready[1],
+            barrier.producer_done[0] + params.network_hop_us + heavy_decode);
+  // Both schedules deliver the same rows in the same order.
+  for (size_t k = 0; k < 2; ++k) {
+    for (size_t j = 0; j < 2; ++j) {
+      ASSERT_EQ(piped.rows[k][j].size(), barrier.rows[k][j].size());
+      for (size_t r = 0; r < piped.rows[k][j].size(); ++r) {
+        EXPECT_TRUE(piped.rows[k][j][r][1].Equals(barrier.rows[k][j][r][1]));
+      }
+    }
+  }
+  EXPECT_EQ(piped.rows[1][1].size(), heavy.size() + tail.size());
 }
 
 TEST(ExchangePipelineTest, PipelinedExchangeChargesRealSpill) {

@@ -327,7 +327,6 @@ TEST_F(ExchangeSpillTest, FailingQueryLeaksNoSpillFiles) {
   JoinQuery spec{"orders", "lookup", "o_id", "l_id"};
 
   DistExecOptions opts;
-  opts.strategy_override = JoinStrategy::kRepartition;
   opts.parallel = false;  // deterministic send order across DNs
   opts.max_channel_bytes = 64;
   opts.spill_dir = dir_.string();
@@ -338,7 +337,8 @@ TEST_F(ExchangeSpillTest, FailingQueryLeaksNoSpillFiles) {
   // denial, with live spill files for the failure path to clean up.
   opts.batch_rows = 8;
   opts.max_spill_bytes = 2048;
-  auto fail = ExecuteDistPlan(&cluster, spec.Plan(), opts);
+  auto fail = ExecuteDistPlan(
+      &cluster, spec.Plan(JoinStrategy::kRepartition), opts);
   ASSERT_FALSE(fail.ok());
   EXPECT_EQ(fail.status().code(), StatusCode::kResourceExhausted);
   EXPECT_GT(cluster.metrics().Get("exchange.bytes_denied"), 0);
@@ -352,7 +352,8 @@ TEST_F(ExchangeSpillTest, FailingQueryLeaksNoSpillFiles) {
   DistExecOptions piped = opts;
   piped.pipeline = true;
   piped.max_spill_bytes = 1;
-  auto piped_fail = ExecuteDistPlan(&cluster, spec.Plan(), piped);
+  auto piped_fail = ExecuteDistPlan(
+      &cluster, spec.Plan(JoinStrategy::kRepartition), piped);
   ASSERT_FALSE(piped_fail.ok());
   EXPECT_EQ(piped_fail.status().code(), StatusCode::kResourceExhausted);
   EXPECT_GT(cluster.metrics().Get("exchange.bytes_denied"), denied0);
@@ -360,7 +361,8 @@ TEST_F(ExchangeSpillTest, FailingQueryLeaksNoSpillFiles) {
 
   // Same query with a sufficient budget completes — and still cleans up.
   opts.max_spill_bytes = 0;
-  auto ok = ExecuteDistPlan(&cluster, spec.Plan(), opts);
+  auto ok = ExecuteDistPlan(
+      &cluster, spec.Plan(JoinStrategy::kRepartition), opts);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->table.num_rows(), 16u);
   EXPECT_GT(ok->stats.spill_bytes, 0u);
@@ -392,13 +394,14 @@ TEST_F(ExchangeSpillTest, BuildSideSpillKeepsJoinBitIdentical) {
   JoinQuery spec{"orders", "lookup", "o_id", "l_id"};
 
   DistExecOptions opts;
-  opts.strategy_override = JoinStrategy::kBroadcast;
-  auto plain = ExecuteDistPlan(&cluster, spec.Plan(), opts);
+  auto plain = ExecuteDistPlan(
+      &cluster, spec.Plan(JoinStrategy::kBroadcast), opts);
   ASSERT_TRUE(plain.ok());
 
   opts.max_build_bytes = 256;  // well under the broadcast side's size
   opts.spill_dir = dir_.string();
-  auto spooled = ExecuteDistPlan(&cluster, spec.Plan(), opts);
+  auto spooled = ExecuteDistPlan(
+      &cluster, spec.Plan(JoinStrategy::kBroadcast), opts);
   ASSERT_TRUE(spooled.ok()) << spooled.status().ToString();
   EXPECT_GT(spooled->stats.build_spill_bytes, 0u);
   EXPECT_GT(spooled->stats.sim_latency_us, plain->stats.sim_latency_us);
@@ -511,7 +514,6 @@ TEST_F(ExchangeSpillTest, PipelinedCappedJoinStatsAreDeterministic) {
 
   JoinQuery spec{"orders", "lookup", "o_id", "l_id"};
   DistExecOptions opts;
-  opts.strategy_override = JoinStrategy::kRepartition;
   opts.pipeline = true;
   opts.batch_rows = 16;
   opts.max_channel_bytes = 8 * 1024;
@@ -519,7 +521,8 @@ TEST_F(ExchangeSpillTest, PipelinedCappedJoinStatsAreDeterministic) {
   std::vector<DistExecStats> runs;
   for (int run = 0; run < 8; ++run) {
     cluster.scheduler().Reset();
-    auto r = ExecuteDistPlan(&cluster, spec.Plan(), opts);
+    auto r = ExecuteDistPlan(
+        &cluster, spec.Plan(JoinStrategy::kRepartition), opts);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(ChannelSpill(r->stats),
               std::make_pair(r->stats.spill_bytes, r->stats.spill_segments));
@@ -555,12 +558,12 @@ TEST_F(ExchangeSpillTest, CappedJoinReportsTheChannelsSpillUnderBothSchedules) {
   for (bool pipeline : {false, true}) {
     SCOPED_TRACE(pipeline ? "pipelined" : "barrier");
     DistExecOptions opts;
-    opts.strategy_override = JoinStrategy::kRepartition;
     opts.pipeline = pipeline;
     opts.batch_rows = 16;
     opts.spill_dir = dir_.string();
     cluster.scheduler().Reset();
-    auto uncapped = ExecuteDistPlan(&cluster, spec.Plan(), opts);
+    auto uncapped = ExecuteDistPlan(
+        &cluster, spec.Plan(JoinStrategy::kRepartition), opts);
     ASSERT_TRUE(uncapped.ok()) << uncapped.status().ToString();
     EXPECT_EQ(uncapped->stats.spill_bytes, 0u);
 
@@ -568,7 +571,8 @@ TEST_F(ExchangeSpillTest, CappedJoinReportsTheChannelsSpillUnderBothSchedules) {
     std::vector<DistExecStats> runs;
     for (int run = 0; run < 10; ++run) {
       cluster.scheduler().Reset();
-      auto r = ExecuteDistPlan(&cluster, spec.Plan(), opts);
+      auto r = ExecuteDistPlan(
+          &cluster, spec.Plan(JoinStrategy::kRepartition), opts);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       const auto [bytes, segments] = ChannelSpill(r->stats);
       EXPECT_EQ(r->stats.spill_bytes, bytes) << "run " << run;

@@ -106,10 +106,9 @@ TEST(VacuumExchangeStressTest, JoinsStayExactWhileVacuumRuns) {
   });
 
   for (int iter = 0; iter < 12; ++iter) {
-    DistExecOptions opts;
-    opts.strategy_override = iter % 2 == 0 ? JoinStrategy::kBroadcast
-                                  : JoinStrategy::kRepartition;
-    auto result = ExecuteDistPlan(&cluster, spec.Plan(), opts);
+    const JoinStrategy strategy = iter % 2 == 0 ? JoinStrategy::kBroadcast
+                                                : JoinStrategy::kRepartition;
+    auto result = ExecuteDistPlan(&cluster, spec.Plan(strategy));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     std::vector<Row> got = Canonical(result->table);
     ASSERT_EQ(got.size(), want.size()) << "iter " << iter;

@@ -1,10 +1,12 @@
 /// Concurrency smoke test for the shared-mutex read path the parallel MPP
-/// scatter relies on: concurrent ScanVisible/Read against MvccTable while
-/// writer threads insert and commit through LocalTxnManager. Correctness
-/// assertions are deliberately coarse (snapshot isolation bounds); the real
-/// teeth are under ThreadSanitizer (the tsan CMake preset).
+/// scatter relies on: concurrent ScanVisible/ForEachVisible against
+/// MvccTable while writer threads insert and commit through
+/// LocalTxnManager. Correctness assertions are deliberately coarse
+/// (snapshot isolation bounds, visit == copy); the real teeth are under
+/// ThreadSanitizer (the tsan CMake preset).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -125,6 +127,64 @@ TEST(MvccConcurrencyTest, PoolScansWhileWriterCommits) {
       EXPECT_LE(rows.size(), 150u);
       ASSERT_TRUE(mgr.Commit(xid).ok());
     });
+  }
+  writer.join();
+}
+
+// The visiting scan the MPP row path uses: ForEachVisible hands out
+// references under the shared lock while a writer inserts, updates and
+// commits beside it, and at one snapshot it must visit exactly the rows
+// ScanVisible copies. (Order is compared only as a set: a concurrent insert
+// may rehash the heap between the two calls.)
+TEST(MvccConcurrencyTest, ForEachVisibleMatchesScanVisibleBesideWriter) {
+  MvccTable table(Schema({Column{"k", TypeId::kInt64, ""},
+                          Column{"v", TypeId::kInt64, ""}}));
+  txn::LocalTxnManager mgr;
+  auto write = [&](int64_t key, int64_t v, bool update) {
+    txn::Xid xid = mgr.Begin();
+    txn::Snapshot snap = mgr.TakeSnapshot();
+    txn::VisibilityChecker vis(&snap, &mgr.clog(), xid);
+    Status st =
+        update ? table.Update(Value(key), {Value(key), Value(v)}, xid, vis)
+               : table.Insert(Value(key), {Value(key), Value(v)}, xid, vis);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_TRUE(mgr.Commit(xid).ok());
+  };
+  for (int64_t i = 0; i < 50; ++i) write(i, 0, /*update=*/false);
+
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int64_t i = 50; i < 250; ++i) {
+      write(i, 0, /*update=*/false);
+      write(i % 50, i, /*update=*/true);
+    }
+    done.store(true, std::memory_order_release);
+  });
+
+  auto by_key = [](std::vector<Row> rows) {
+    std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+      return a[0].AsInt() < b[0].AsInt();
+    });
+    return rows;
+  };
+  int rounds = 0;
+  while (!done.load(std::memory_order_acquire) || rounds < 5) {
+    txn::Xid xid = mgr.Begin();
+    txn::Snapshot snap = mgr.TakeSnapshot();
+    txn::VisibilityChecker vis(&snap, &mgr.clog(), xid);
+    std::vector<Row> visited;
+    table.ForEachVisible(vis, [&](const Row& row) { visited.push_back(row); });
+    const std::vector<Row> copied = by_key(table.ScanVisible(vis));
+    visited = by_key(std::move(visited));
+    ASSERT_EQ(visited.size(), copied.size());
+    EXPECT_GE(visited.size(), 50u);
+    for (size_t r = 0; r < visited.size(); ++r) {
+      ASSERT_EQ(visited[r].size(), 2u);
+      EXPECT_TRUE(visited[r][0].Equals(copied[r][0])) << "row " << r;
+      EXPECT_TRUE(visited[r][1].Equals(copied[r][1])) << "row " << r;
+    }
+    ASSERT_TRUE(mgr.Commit(xid).ok());
+    ++rounds;
   }
   writer.join();
 }
