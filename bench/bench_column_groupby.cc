@@ -148,7 +148,6 @@ struct DistProbe {
 DistProbe RunDist(cluster::Cluster* c, cluster::ScanPath path,
                   bool force_materialize) {
   cluster::DistExecOptions opts;
-  opts.use_columnar = path == cluster::ScanPath::kColumnar;
   std::optional<cluster::ForceColumnarMaterializeForTesting> force;
   if (force_materialize) force.emplace();
   auto t0 = std::chrono::steady_clock::now();

@@ -10,7 +10,7 @@
 # The JSON always goes through OFI_BENCH_JSON, so no committed file is
 # overwritten. BENCH_htap_freshness.json is left out: background delta
 # merges install at wall-clock-dependent points, so its delta legs vary
-# from run to run (ROADMAP item 4 makes merges deterministic).
+# from run to run (ROADMAP item 6 makes merges deterministic).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

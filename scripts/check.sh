@@ -20,12 +20,14 @@ run_preset() {
   # scans and per-DN joins, vacuum-under-exchange stress, morsel-parallel
   # chunk scans), the admission-queue stress drives the CN gate from
   # 8 real threads, the scheduler test charges one resource from 4
-  # threads, and the MVCC test visits and copies the heap beside a
-  # committing writer — run them by name so a filtered or stale test list
-  # can never skip the reason this gate exists.
+  # threads, the MVCC test visits and copies the heap beside a
+  # committing writer, and the scan-fragment test drives the per-DN
+  # ShardSink (the scan's and the join's) on pool workers — run them by
+  # name so a filtered or stale test list can never skip the reason this
+  # gate exists.
   echo "=== ${preset}: exchange/join/columnar/distributed-sql/traffic focus ==="
   ctest --preset "${preset}" \
-    -R "exchange|distributed_join|column_store|column_scan|column_groupby|columnar_mpp|mpp_query|distributed_sql|distributed_groupby|columnar_refresh|htap_freshness|traffic|admission_queue|group_commit|tpcc|secondary_index|sim_and_util|mvcc_concurrency" \
+    -R "exchange|distributed_join|column_store|column_scan|column_groupby|columnar_mpp|mpp_query|distributed_sql|distributed_groupby|columnar_refresh|htap_freshness|traffic|admission_queue|group_commit|tpcc|secondary_index|sim_and_util|mvcc_concurrency|scan_fragment" \
     --output-on-failure
   echo "=== ${preset}: sql shell smoke (distributed) ==="
   scripts/sql_shell_smoke.sh "build-${preset}"

@@ -506,75 +506,15 @@ bool DeltaRowMatches(const ColumnarPredicate& pred, const sql::Schema& schema,
   return v.type() == TypeId::kString && v.AsString() == pred.needle;
 }
 
-/// Folds filtered delta-tail rows into the one-row global-aggregate partial
-/// the kernel produced for the sealed chunks. All combines are null-aware
-/// and associative, so the merged partial equals what one kernel over
-/// sealed+delta would have produced.
+/// Folds filtered delta-tail rows into the partial a kernel produced for the
+/// sealed chunks: the grouped kernel's groups, or (no group keys) the global
+/// kernel's one row. Every combine is null-aware and associative (integer
+/// SUM wraps), so the merged partial equals one kernel over sealed + delta.
+/// Grouping treats NULL = NULL (Value::Equals), matching both the kernel and
+/// the row-path executor; groups the delta introduces append at the tail
+/// (shard output group order is unspecified — the CN final aggregation and
+/// tests canonicalize).
 Status MergeDeltaIntoKernelAgg(Table* partial,
-                               const std::vector<AggSpec>& specs,
-                               const sql::Schema& schema,
-                               const std::vector<Row>& delta_rows) {
-  if (delta_rows.empty()) return Status::OK();
-  Row& out = partial->mutable_rows()[0];
-  for (size_t j = 0; j < specs.size(); ++j) {
-    const AggSpec& spec = specs[j];
-    if (spec.arg == nullptr) {  // COUNT(*)
-      out[j] = Value(out[j].AsInt() + static_cast<int64_t>(delta_rows.size()));
-      continue;
-    }
-    OFI_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(spec.arg->column_name()));
-    int64_t count = 0;
-    std::optional<int64_t> acc;
-    for (const Row& r : delta_rows) {
-      const Value& v = r[idx];
-      if (v.is_null()) continue;
-      const int64_t x = v.AsInt();
-      ++count;
-      if (!acc.has_value()) {
-        acc = x;
-      } else if (spec.func == AggFunc::kSum) {
-        acc = sql::WrapAdd(*acc, x);
-      } else if (spec.func == AggFunc::kMin) {
-        acc = std::min(*acc, x);
-      } else if (spec.func == AggFunc::kMax) {
-        acc = std::max(*acc, x);
-      }
-    }
-    switch (spec.func) {
-      case AggFunc::kCount:
-        out[j] = Value(out[j].AsInt() + count);
-        break;
-      case AggFunc::kSum:
-        if (acc.has_value()) {
-          out[j] = out[j].is_null() ? Value(*acc)
-                                    : Value(sql::WrapAdd(out[j].AsInt(), *acc));
-        }
-        break;
-      case AggFunc::kMin:
-        if (acc.has_value()) {
-          out[j] = out[j].is_null() ? Value(*acc)
-                                    : Value(std::min(out[j].AsInt(), *acc));
-        }
-        break;
-      case AggFunc::kMax:
-        if (acc.has_value()) {
-          out[j] = out[j].is_null() ? Value(*acc)
-                                    : Value(std::max(out[j].AsInt(), *acc));
-        }
-        break;
-      default:
-        return Status::Internal("non-decomposed aggregate in kernel path");
-    }
-  }
-  return Status::OK();
-}
-
-/// Folds filtered delta-tail rows into the grouped partial the hash kernel
-/// produced for the sealed chunks. Grouping treats NULL = NULL (Value::
-/// Equals), matching both the kernel and the row-path executor; groups the
-/// delta introduces append at the tail (shard output group order is
-/// unspecified — the CN final aggregation and tests canonicalize).
-Status MergeDeltaIntoGroupedAgg(Table* partial,
                                 const std::vector<std::string>& group_by,
                                 const std::vector<AggSpec>& specs,
                                 const sql::Schema& schema,
@@ -902,6 +842,11 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
   // index probe pinned the plan to one DN).
   Txn reader = cluster_->Begin(single_shard_probe ? TxnScope::kSingleShard
                                                   : TxnScope::kMultiShard);
+  // Every failing return below aborts the snapshot, so a failed query
+  // leaves no local xid or gxid active; the success path commits first.
+  std::unique_ptr<Txn, void (*)(Txn*)> abort_unfinished(&reader, [](Txn* t) {
+    if (!t->finished()) (void)t->Abort();
+  });
   reader_ = &reader;
   scatter_start_ = reader.now();
   frontier_.assign(static_cast<size_t>(n_), scatter_start_);
@@ -915,46 +860,30 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
         ExecScanFragment(*core, fused, /*count_naive=*/true, &slots));
   }
 
-  // Gather: merge per-DN outputs deterministically in DN order.
+  // Gather: merge per-DN outputs deterministically in DN order. The output
+  // takes DN 0's table, schema included, and appends every later DN's rows.
   Table gathered;
   std::vector<size_t> slot_result_bytes(slots.size(), 0);
-  if (rows_gather) {
-    gathered = Table(slots[0].table.schema());
-    size_t slot_idx = 0;
-    for (auto& slot : slots) {
-      OFI_RETURN_NOT_OK(slot.status);
-      slot_result_bytes[slot_idx++] =
+  for (size_t i = 0; i < slots.size(); ++i) {
+    FragSlot& slot = slots[i];
+    OFI_RETURN_NOT_OK(slot.status);
+    if (rows_gather) {
+      slot_result_bytes[i] =
           exchange::EncodedBytes(slot.table.rows(), batch_rows_);
-      stats_.result_bytes +=
-          exchange::EncodedBytes(slot.table.rows(), batch_rows_);
-      stats_.partial_bytes += slot.partial_bytes;
-      stats_.naive_bytes += slot.naive_bytes;
-      if (slot.columnar) {
-        ++stats_.columnar_shards;
-        stats_.scan_stats.MergeFrom(slot.stats);
-      }
-      for (auto& row : slot.table.mutable_rows()) {
-        OFI_RETURN_NOT_OK(gathered.Append(std::move(row)));
-      }
+      stats_.result_bytes += slot_result_bytes[i];
     }
-  } else {
-    bool first_shard = true;
-    for (auto& slot : slots) {
-      OFI_RETURN_NOT_OK(slot.status);
-      stats_.partial_bytes += slot.partial_bytes;
-      stats_.naive_bytes += slot.naive_bytes;
-      if (slot.columnar) {
-        ++stats_.columnar_shards;
-        stats_.scan_stats.MergeFrom(slot.stats);
-      }
-      if (first_shard) {
-        gathered = std::move(slot.table);
-        first_shard = false;
-      } else {
-        for (auto& row : slot.table.mutable_rows()) {
-          OFI_RETURN_NOT_OK(gathered.Append(std::move(row)));
-        }
-      }
+    stats_.partial_bytes += slot.partial_bytes;
+    stats_.naive_bytes += slot.naive_bytes;
+    if (slot.columnar) {
+      ++stats_.columnar_shards;
+      stats_.scan_stats.MergeFrom(slot.stats);
+    }
+    if (i == 0) {
+      gathered = std::move(slot.table);
+      continue;
+    }
+    for (auto& row : slot.table.mutable_rows()) {
+      OFI_RETURN_NOT_OK(gathered.Append(std::move(row)));
     }
   }
   if (stats_.columnar_shards > 0) {
@@ -1198,17 +1127,15 @@ Status DistPlanExecutor::ExecScanFragment(const DistOp& scan, bool fused,
         OFI_ASSIGN_OR_RETURN(
             partial, RunColumnarKernelAgg(ct, sel_ptr, pred->never,
                                           partial_specs, sopts, &slot.stats));
-        OFI_RETURN_NOT_OK(MergeDeltaIntoKernelAgg(&partial, partial_specs,
-                                                  ct.schema(), delta_matched));
       } else {
         // Grouped kernel. An unsatisfiable predicate arrives as an empty
         // selection; no filter at all means the whole table.
         OFI_ASSIGN_OR_RETURN(
             partial, RunColumnarGroupedAgg(ct, agg_group_, sel_ptr,
                                            partial_specs, sopts, &slot.stats));
-        OFI_RETURN_NOT_OK(MergeDeltaIntoGroupedAgg(
-            &partial, agg_group_, partial_specs, ct.schema(), delta_matched));
       }
+      OFI_RETURN_NOT_OK(MergeDeltaIntoKernelAgg(
+          &partial, agg_group_, partial_specs, ct.schema(), delta_matched));
       slot.partial_bytes = TableBytes(partial);
       slot.table = std::move(partial);
       return Status::OK();
@@ -1397,71 +1324,67 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
   }
   for (const Status& st : run.producer_status) OFI_RETURN_NOT_OK(st);
 
-  // Per-DN join (+ fused partial aggregation): each DN assembles its slice
-  // (local rows for the side that did not move, exchange-delivered rows for
-  // the one that did) and runs the ordinary hash join from src/sql on it.
-  // Under max_build_bytes the build partition (the smaller side — the one
-  // broadcast would ship) is spooled through a capped local spill channel
-  // and re-read before the join: encode/decode is lossless, so the result
-  // is bit-identical and the overflow only costs simulated spill I/O.
+  // Per-DN join: each DN joins the rows it holds (exchange-decoded for a
+  // side that moved, scanned for one that did not) with one sql::HashJoin,
+  // built on the right and probed with the left, into a ShardSink that
+  // folds each match into the fused partial aggregate or appends it. Under
+  // max_build_bytes the smaller side (the one broadcast would ship) is
+  // first spooled through a capped local spill channel and re-read:
+  // lossless, so only simulated spill I/O changes.
   exchange::ExchangeSpillConfig build_cfg{opts_.spill_dir, &spill_budget};
   std::vector<FragSlot>& slots = *slots_out;
-  auto join_dn = [&](int j) {
+  auto join_dn = [&](int j) -> Status {
     const size_t sj = static_cast<size_t>(j);
     FragSlot& slot = slots[sj];
-    slot.status = run.consumer_status[sj];
-    if (!slot.status.ok()) return;
-    std::vector<Row> lrows =
-        std::move(move_left ? run.rows[0][sj]
-                            : left_slots[sj].table.mutable_rows());
-    std::vector<Row> rrows =
-        std::move(move_right ? run.rows[1][sj]
-                             : right_slots[sj].table.mutable_rows());
-    auto spool_build = [&](std::vector<Row>* rows) -> Status {
-      if (opts_.max_build_bytes == 0 ||
-          exchange::EncodedBytes(*rows, batch_rows_) <=
-              opts_.max_build_bytes) {
-        return Status::OK();  // fits in memory, no round trip
-      }
+    OFI_RETURN_NOT_OK(run.consumer_status[sj]);
+    std::vector<Row>& lrows =
+        move_left ? run.rows[0][sj] : left_slots[sj].table.mutable_rows();
+    std::vector<Row>& rrows =
+        move_right ? run.rows[1][sj] : right_slots[sj].table.mutable_rows();
+    std::vector<Row>& small_side = stats_.broadcast_left ? lrows : rrows;
+    if (opts_.max_build_bytes != 0 &&
+        exchange::EncodedBytes(small_side, batch_rows_) >
+            opts_.max_build_bytes) {
       exchange::ExchangeChannel ch;
       exchange::ExchangeChannel::SendLimits limits{opts_.max_build_bytes,
                                                    &build_cfg};
-      for (size_t b = 0; b < rows->size(); b += batch_rows_) {
-        size_t e = std::min(b + batch_rows_, rows->size());
-        OFI_RETURN_NOT_OK(ch.Send(exchange::EncodeBatch(*rows, b, e), limits));
+      for (size_t b = 0; b < small_side.size(); b += batch_rows_) {
+        size_t e = std::min(b + batch_rows_, small_side.size());
+        OFI_RETURN_NOT_OK(
+            ch.Send(exchange::EncodeBatch(small_side, b, e), limits));
       }
-      std::vector<Row> out;
-      out.reserve(rows->size());
+      std::vector<Row> spooled;
+      spooled.reserve(small_side.size());
       while (true) {
         OFI_ASSIGN_OR_RETURN(std::optional<std::string> batch, ch.PopBatch());
         if (!batch.has_value()) break;
         OFI_ASSIGN_OR_RETURN(std::vector<Row> decoded,
                              exchange::DecodeBatch(*batch));
-        for (auto& r : decoded) out.push_back(std::move(r));
+        for (auto& r : decoded) spooled.push_back(std::move(r));
       }
       slot.build_spill_bytes = ch.spilled_bytes();
-      *rows = std::move(out);
-      return Status::OK();
-    };
-    slot.status = spool_build(stats_.broadcast_left ? &lrows : &rrows);
-    if (!slot.status.ok()) return;
+      small_side = std::move(spooled);
+    }
     sql::ExprPtr pred = Expr::EqCols(join.left_key, join.right_key);
     if (join.residual) pred = Expr::And(pred, join.residual->Clone());
-    sql::PlanPtr plan = sql::MakeJoin(
-        sql::MakeValues(Table(left_schema_, std::move(lrows))),
-        sql::MakeValues(Table(right_schema_, std::move(rrows))), pred);
-    if (fused) plan = sql::MakeAggregate(plan, agg_group_, PartialSpecs());
-    sql::Catalog catalog;  // Values plans read no tables
-    sql::Executor exec(&catalog);
-    auto joined = exec.Execute(plan);
-    if (!joined.ok()) {
-      slot.status = joined.status();
-      return;
+    sql::HashJoin hash_join;
+    OFI_RETURN_NOT_OK(hash_join.Bind(left_schema_, right_schema_, pred));
+    OFI_ASSIGN_OR_RETURN(ShardSink sink,
+                         MakeSink(left_schema_.Concat(right_schema_), nullptr,
+                                  fused, /*count_naive=*/false));
+    hash_join.Build(rrows);
+    for (const Row& lrow : lrows) {
+      hash_join.Probe(lrow, [&sink](const Row& joined) {
+        sink.Add(joined);
+        return true;
+      });
     }
-    if (fused) slot.partial_bytes = TableBytes(*joined);
-    slot.table = std::move(*joined);
+    sink.Finish(&slot);
+    return Status::OK();
   };
-  RunScatter(opts_.parallel, n_, join_dn);
+  RunScatter(opts_.parallel, n_, [&](int j) {
+    slots[static_cast<size_t>(j)].status = join_dn(j);
+  });
 
   // Node j's join statement starts once the exchange delivered its input;
   // the fused partial aggregate rides in that same statement (scan+agg was
@@ -1871,7 +1794,7 @@ DistLowering LowerSelectPlan(const sql::PlanPtr& logical, Cluster* cluster,
     }
     ScanPath path = ScanPath::kRow;
     std::string detail;
-    if (options.use_columnar && cluster->IsColumnar(s.table_name)) {
+    if (cluster->IsColumnar(s.table_name)) {
       if (RecognizeFilter(s.predicate).has_value()) {
         path = ScanPath::kColumnar;
         detail = "columnar(materialize)";

@@ -13,11 +13,12 @@
 ///                  data movement itself is executed cooperatively by the
 ///                  consuming join, because both relations' traffic shares
 ///                  each DN's serialized resource in one exchange step)
-///   DistHashJoin   per-DN src/sql hash join over local + exchanged rows
+///   DistHashJoin   per-DN sql::HashJoin over local + exchanged rows,
+///                  probing into the same sink as a scan
 ///   DistPartialAgg per-DN partial aggregation, fused into its child
-///                  fragment: a scan's sink folds each passing row into a
-///                  sql::Aggregator (or pure column kernels serve it), and a
-///                  join aggregates its output in the same statement
+///                  fragment: the sink folds each passing row or join match
+///                  into a sql::Aggregator (or pure column kernels serve a
+///                  scan), so a fused join builds no joined table
 ///   Gather         CN-side union of per-DN partials in DN order
 ///   DistFinalAgg   CN-side final aggregation (COUNT->sum of counts,
 ///                  AVG->sum/count division) over the gathered partials
@@ -178,11 +179,12 @@ DistOpPtr MakeGather(DistOpPtr child, bool gather_rows);
 // --- Execution ---------------------------------------------------------------
 
 /// Knobs for executing a distributed physical plan: scatter mode
-/// (parallel), access-path permissions for lowering (use_index,
-/// use_columnar), exchange batching and memory (batch_rows,
-/// max_channel_bytes, spill_dir, max_spill_bytes, max_build_bytes), join
-/// sizing (stats) and the exchange schedule (pipeline). The join strategy
-/// is a plan property (DistOp::strategy), not an option.
+/// (parallel), the index permission for lowering (use_index), exchange
+/// batching and memory (batch_rows, max_channel_bytes, spill_dir,
+/// max_spill_bytes, max_build_bytes), join sizing (stats) and the exchange
+/// schedule (pipeline). The join strategy (DistOp::strategy) and the scan
+/// path (DistOp::path, columnar whenever the table has a columnar copy and
+/// the filter is kernel-recognizable) are plan properties, not options.
 struct DistExecOptions {
   /// Run per-DN fragments on common::ThreadPool::Shared(). When false the
   /// scatter executes inline on the caller thread. Results and simulated
@@ -194,7 +196,6 @@ struct DistExecOptions {
   /// always scan (the sql_shell --no-index escape hatch); execution of an
   /// already-lowered index plan is unaffected.
   bool use_index = true;
-  bool use_columnar = true;
   /// Rows per serialized exchange batch.
   size_t batch_rows = 64;
   /// Per-exchange-channel in-memory queued-byte cap; 0 = unbounded. A Send

@@ -174,89 +174,101 @@ Result<Table> Executor::ExecProject(const PlanNode* node) {
   return out;
 }
 
-Result<Table> Executor::ExecJoin(const PlanNode* node) {
-  OFI_ASSIGN_OR_RETURN(Table left, ExecNode(node->children[0].get()));
-  OFI_ASSIGN_OR_RETURN(Table right, ExecNode(node->children[1].get()));
-  Schema out_schema = left.schema().Concat(right.schema());
-
+Status HashJoin::Bind(const Schema& left, const Schema& right,
+                      const ExprPtr& predicate) {
   std::vector<ExprPtr> conjuncts;
-  SplitConjuncts(node->predicate, &conjuncts);
-
-  // Separate equi-join keys from residual predicates.
-  std::vector<size_t> lkeys, rkeys;
+  SplitConjuncts(predicate, &conjuncts);
   std::vector<ExprPtr> residual;
   for (const auto& c : conjuncts) {
     std::string lc, rc;
-    if (IsEquiJoinPredicate(*c, left.schema(), right.schema(), &lc, &rc)) {
-      auto li = left.schema().IndexOf(lc);
-      auto ri = right.schema().IndexOf(rc);
+    if (IsEquiJoinPredicate(*c, left, right, &lc, &rc)) {
+      auto li = left.IndexOf(lc);
+      auto ri = right.IndexOf(rc);
       if (li.ok() && ri.ok()) {
-        lkeys.push_back(*li);
-        rkeys.push_back(*ri);
+        lkeys_.push_back(*li);
+        rkeys_.push_back(*ri);
         continue;
       }
     }
     residual.push_back(c);
   }
-  ExprPtr residual_pred = ConjoinAll(residual);
-  if (residual_pred) OFI_RETURN_NOT_OK(residual_pred->Bind(out_schema));
+  residual_ = ConjoinAll(residual);
+  if (residual_) OFI_RETURN_NOT_OK(residual_->Bind(left.Concat(right)));
+  return Status::OK();
+}
+
+void HashJoin::Build(const std::vector<Row>& right) {
+  right_ = &right;
+  build_.reserve(right.size() * 2);
+  for (size_t i = 0; i < right.size(); ++i) {
+    build_.emplace(HashRow(right[i], rkeys_), i);
+  }
+}
+
+void HashJoin::Probe(const Row& left,
+                     const std::function<bool(const Row&)>& on_match) {
+  for (size_t k : lkeys_) {
+    if (left[k].is_null()) return;
+  }
+  auto range = build_.equal_range(HashRow(left, lkeys_));
+  bool filled = false;
+  for (auto it = range.first; it != range.second; ++it) {
+    const Row& right = (*right_)[it->second];
+    if (!RowKeysEqual(left, lkeys_, right, rkeys_)) continue;
+    if (!filled) {
+      scratch_.assign(left.begin(), left.end());
+      scratch_.resize(left.size() + right.size());
+      filled = true;
+    }
+    std::copy(right.begin(), right.end(), scratch_.begin() + left.size());
+    if (PassesResidual(scratch_) && !on_match(scratch_)) return;
+  }
+}
+
+bool HashJoin::PassesResidual(const Row& joined) const {
+  if (!residual_) return true;
+  Value v = residual_->Eval(joined);
+  return !v.is_null() && v.AsBool();
+}
+
+Result<Table> Executor::ExecJoin(const PlanNode* node) {
+  OFI_ASSIGN_OR_RETURN(Table left, ExecNode(node->children[0].get()));
+  OFI_ASSIGN_OR_RETURN(Table right, ExecNode(node->children[1].get()));
+  Schema out_schema = left.schema().Concat(right.schema());
+  HashJoin join;
+  OFI_RETURN_NOT_OK(join.Bind(left.schema(), right.schema(), node->predicate));
 
   // Semi joins only emit left rows, so their output schema is the left's.
-  Table out(node->join_type == JoinType::kSemi ? left.schema() : out_schema);
-  auto emit = [&](const Row& l, const Row& r) {
-    Row joined = l;
-    joined.insert(joined.end(), r.begin(), r.end());
-    if (residual_pred) {
-      Value v = residual_pred->Eval(joined);
-      if (v.is_null() || !v.AsBool()) return false;
-    }
-    if (node->join_type == JoinType::kSemi) {
-      out.mutable_rows().push_back(l);
-    } else {
-      out.mutable_rows().push_back(std::move(joined));
-    }
-    return true;
+  const bool semi = node->join_type == JoinType::kSemi;
+  Table out(semi ? left.schema() : out_schema);
+  // Emits one match; false stops the left row's probe (a semi join needs
+  // only its first match).
+  auto emit = [&](const Row& l, const Row& joined) {
+    out.mutable_rows().push_back(semi ? l : joined);
+    return !semi;
   };
-
-  if (!lkeys.empty()) {
-    // Hash join: build on right, probe with left.
-    std::unordered_multimap<size_t, size_t> build;
-    build.reserve(right.num_rows() * 2);
-    for (size_t i = 0; i < right.num_rows(); ++i) {
-      build.emplace(HashRow(right.rows()[i], rkeys), i);
-    }
-    for (const auto& lrow : left.rows()) {
-      bool any_null = false;
-      for (size_t k : lkeys) any_null |= lrow[k].is_null();
-      bool matched = false;
-      if (!any_null) {
-        auto range = build.equal_range(HashRow(lrow, lkeys));
-        for (auto it = range.first; it != range.second; ++it) {
-          const Row& rrow = right.rows()[it->second];
-          if (!RowKeysEqual(lrow, lkeys, rrow, rkeys)) continue;
-          matched |= emit(lrow, rrow);
-          if (matched && node->join_type == JoinType::kSemi) break;
-        }
-      }
-      if (!matched && node->join_type == JoinType::kLeftOuter) {
-        Row joined = lrow;
-        joined.resize(out_schema.num_columns(), Value::Null());
-        out.mutable_rows().push_back(std::move(joined));
-      }
-    }
-  } else {
-    // Nested loop join.
-    for (const auto& lrow : left.rows()) {
-      bool matched = false;
+  if (join.has_keys()) join.Build(right.rows());
+  for (const auto& lrow : left.rows()) {
+    bool matched = false;
+    if (join.has_keys()) {
+      join.Probe(lrow, [&](const Row& joined) {
+        matched = true;
+        return emit(lrow, joined);
+      });
+    } else {
+      // Nested loop join.
       for (const auto& rrow : right.rows()) {
-        matched |= emit(lrow, rrow);
-        if (matched && node->join_type == JoinType::kSemi) break;
-      }
-      if (!matched && node->join_type == JoinType::kLeftOuter) {
         Row joined = lrow;
-        joined.resize(out_schema.num_columns(), Value::Null());
-        out.mutable_rows().push_back(std::move(joined));
+        joined.insert(joined.end(), rrow.begin(), rrow.end());
+        if (!join.PassesResidual(joined)) continue;
+        matched = true;
+        if (!emit(lrow, joined)) break;
       }
+    }
+    if (!matched && node->join_type == JoinType::kLeftOuter) {
+      Row joined = lrow;
+      joined.resize(out_schema.num_columns(), Value::Null());
+      out.mutable_rows().push_back(std::move(joined));
     }
   }
   return out;

@@ -3,8 +3,12 @@
 /// equi-predicates, nested loops otherwise, hash aggregation, sorting, set
 /// operations. Records actual row counts on each plan node so the learned
 /// optimizer (src/optimizer) can harvest estimate/actual differentials.
+/// It is the single-node oracle of the cluster engine, which shares its
+/// two streaming operators: the per-DN join probes a HashJoin and every
+/// partial and final aggregate folds through an Aggregator.
 #pragma once
 
+#include <functional>
 #include <unordered_map>
 
 #include "common/result.h"
@@ -49,6 +53,36 @@ class Aggregator {
   bool typed_ = false;            // out_cols_ typed by the first Add
   std::unordered_map<size_t, std::vector<State>> groups_;
   size_t num_groups_ = 0;
+};
+
+/// \brief The hash path of an equi-join: the one build-and-probe behind
+/// Executor's Join node and the per-DN join fragment.
+///
+/// Bind splits the predicate into its top-level conjuncts: each cross-side
+/// `col = col` (IsEquiJoinPredicate) is a hash key, and the rest conjoin
+/// into the residual, bound in place on left ++ right (concurrent joins
+/// need their own predicate clones). Build indexes the right rows by
+/// reference; they must outlive every Probe. Probe calls `on_match(joined)`
+/// for each right row whose keys equal `left`'s (NULL keys never match) and
+/// whose `joined` = left ++ right passes the residual, in a fixed order.
+/// `joined` is one scratch row reused across matches; `on_match` returns
+/// false to stop the probe.
+class HashJoin {
+ public:
+  Status Bind(const Schema& left, const Schema& right, const ExprPtr& predicate);
+  /// False when no conjunct is a hash key: Executor then joins by nested
+  /// loop, testing each concatenated pair with PassesResidual.
+  bool has_keys() const { return !lkeys_.empty(); }
+  void Build(const std::vector<Row>& right);
+  void Probe(const Row& left, const std::function<bool(const Row&)>& on_match);
+  bool PassesResidual(const Row& joined) const;
+
+ private:
+  std::vector<size_t> lkeys_, rkeys_;
+  ExprPtr residual_;
+  const std::vector<Row>* right_ = nullptr;
+  std::unordered_multimap<size_t, size_t> build_;
+  Row scratch_;
 };
 
 /// \brief Executes logical plans against a catalog.

@@ -15,6 +15,7 @@
 namespace ofi::cluster {
 namespace {
 
+using sql::AggFunc;
 using sql::Column;
 using sql::Expr;
 using sql::Row;
@@ -125,6 +126,15 @@ class DistributedJoinTest : public ::testing::Test {
   }
 
   JoinQuery Spec() { return JoinQuery{"orders", "customers", "cust", "c_id"}; }
+
+  /// {local xids active summed over every DN, gxids active at the GTM}.
+  std::pair<size_t, uint64_t> ActiveTxns() {
+    size_t local = 0;
+    for (int i = 0; i < cluster_.num_dns(); ++i) {
+      local += cluster_.dn(i)->txn_mgr().active_count();
+    }
+    return {local, cluster_.gtm().active_count()};
+  }
 
   void ExpectMatchesReference(const JoinQuery& spec, JoinStrategy strategy) {
     DistExecOptions opts;
@@ -467,12 +477,142 @@ TEST_F(DistributedJoinTest, FailoverServesEveryRowExactlyOnce) {
 }
 
 TEST_F(DistributedJoinTest, UnknownTableOrKeyFails) {
+  LoadRandom(40, 8, /*seed=*/3);
+  const auto active = ActiveTxns();
   JoinQuery spec = Spec();
   spec.left_table = "nope";
   EXPECT_FALSE(ExecuteDistPlan(&cluster_, spec.Plan()).ok());
   spec = Spec();
   spec.right_key = "no_such_col";
   EXPECT_FALSE(ExecuteDistPlan(&cluster_, spec.Plan()).ok());
+  // These fail after the reader snapshot began: on every DN's join, and on
+  // the scan of a table no DN holds. Each aborts its snapshot.
+  spec = Spec();
+  spec.residual = Expr::Gt("no_such_col", Value(int64_t{1}));
+  for (auto s : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
+    EXPECT_FALSE(ExecuteDistPlan(&cluster_, spec.Plan(s)).ok());
+  }
+  const DistOpPtr no_table =
+      MakeGather(MakeDistScan("nope", nullptr), /*gather_rows=*/true);
+  EXPECT_FALSE(ExecuteDistPlan(&cluster_, no_table).ok());
+  EXPECT_EQ(ActiveTxns(), active);
+  ASSERT_TRUE(ExecuteDistPlan(&cluster_, Spec().Plan()).ok());
+  EXPECT_EQ(ActiveTxns(), active);
+}
+
+// A residual holding a second cross-side equality: the shared conjunct
+// split makes it a second hash key on every DN, as in the oracle.
+TEST_F(DistributedJoinTest, ResidualCrossSideEqualityMatchesReference) {
+  for (int64_t c = 0; c < 20; ++c) InsertCustomer({Value(c), Value(c % 4)});
+  for (int64_t o = 0; o < 200; ++o) {
+    InsertOrder({Value(o), Value(o % 23), Value(o % 5)});
+  }
+  JoinQuery spec = Spec();
+  spec.residual = Expr::EqCols("segment", "amount");
+  const Table want = ReferenceJoin(orders_, customers_, spec);
+  ASSERT_GT(want.num_rows(), 0u);
+  ASSERT_LT(want.num_rows(),
+            ReferenceJoin(orders_, customers_, Spec()).num_rows());
+  for (const Row& r : want.rows()) ASSERT_TRUE(r[2].Equals(r[4]));
+  ExpectMatchesReference(spec, JoinStrategy::kBroadcast);
+  ExpectMatchesReference(spec, JoinStrategy::kRepartition);
+}
+
+// Each DN builds on its right rows and probes with its left rows in order,
+// and the CN appends the DNs in order, so an unfused join's gathered order
+// is fixed by the data alone. A self-join with duplicate keys on both sides
+// pins it, as (left o_id, right o_id) pairs, under each strategy.
+TEST_F(DistributedJoinTest, UnfusedJoinKeepsItsGatheredOrder) {
+  for (int64_t o = 0; o < 8; ++o) {
+    InsertOrder({Value(o), Value(o % 3), Value(o * 10)});
+  }
+  const JoinQuery spec{"orders", "orders", "cust", "cust"};
+  using Pairs = std::vector<std::pair<int64_t, int64_t>>;
+  const std::map<JoinStrategy, Pairs> want = {
+      {JoinStrategy::kBroadcast,
+       {{4, 4}, {0, 0}, {1, 4}, {6, 0}, {7, 4}, {3, 0}, {4, 1}, {5, 5},
+        {1, 1}, {2, 5}, {7, 1}, {0, 6}, {5, 2}, {6, 6}, {2, 2}, {3, 6},
+        {4, 7}, {0, 3}, {1, 7}, {6, 3}, {7, 7}, {3, 3}}},
+      {JoinStrategy::kRepartition,
+       {{4, 7}, {4, 1}, {4, 4}, {1, 7}, {1, 1}, {1, 4}, {7, 7}, {7, 1},
+        {7, 4}, {0, 3}, {0, 6}, {0, 0}, {6, 3}, {6, 6}, {6, 0}, {3, 3},
+        {3, 6}, {3, 0}, {5, 2}, {5, 5}, {2, 2}, {2, 5}}}};
+  for (const auto& [strategy, pairs] : want) {
+    auto result = ExecuteDistPlan(&cluster_, spec.Plan(strategy));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->stats.strategy, strategy);
+    Pairs got;
+    for (const Row& r : result->table.rows()) {
+      got.emplace_back(r[0].AsInt(), r[3].AsInt());
+    }
+    EXPECT_EQ(got, pairs);
+  }
+}
+
+// A fused grouped aggregate over a join folds each match into the DN's
+// Aggregator, which types SUM/MIN from the first match it sees. Here the
+// oracle's first match has a NULL amount, and so does every match on DN 0
+// under both strategies (its local orders under broadcast, the customers
+// hashed to it under repartition), so both sides type SUM and MIN kNull;
+// the other DNs contribute real sums.
+TEST_F(DistributedJoinTest, FusedGroupedSumOverJoinTypesLikeTheOracle) {
+  for (int64_t c = 0; c < 8; ++c) InsertCustomer({Value(c), Value(c % 3)});
+  for (int64_t o = 0; o < 120; ++o) {
+    const int64_t cust = o % 10;
+    const bool on_dn0 =
+        cluster_.ShardFor(Value(o)) == 0 ||
+        exchange::HashForPartition(Value(cust)) % 4 == 0;
+    InsertOrder({Value(o), Value(cust),
+                 o == 0 || on_dn0 ? Value::Null() : Value(o)});
+  }
+  const std::vector<std::string> group_by = {"segment"};
+  const std::vector<DistributedAgg> aggs = {{AggFunc::kCount, "", "n"},
+                                            {AggFunc::kCount, "amount", "na"},
+                                            {AggFunc::kSum, "amount", "s"},
+                                            {AggFunc::kMin, "amount", "lo"}};
+  std::vector<sql::AggSpec> specs;
+  for (const auto& a : aggs) {
+    specs.push_back(sql::AggSpec{
+        a.func, a.column.empty() ? nullptr : Expr::ColumnRef(a.column), a.name});
+  }
+  sql::Catalog catalog;
+  catalog.Register("orders", Table(OrdersSchema(), orders_));
+  catalog.Register("customers", Table(CustomersSchema(), customers_));
+  sql::Executor exec(&catalog);
+  const Table want =
+      exec.Execute(sql::MakeAggregate(
+                       sql::MakeJoin(sql::MakeScan("orders"),
+                                     sql::MakeScan("customers"),
+                                     Expr::EqCols("cust", "c_id")),
+                       group_by, std::move(specs)))
+          .ValueOrDie();
+  ASSERT_EQ(want.num_rows(), 3u);
+  ASSERT_EQ(want.schema().column(3).type, TypeId::kNull);
+  ASSERT_EQ(want.schema().column(4).type, TypeId::kNull);
+  size_t real_sums = 0;
+  for (const Row& r : want.rows()) real_sums += r[3].is_null() ? 0 : 1;
+  ASSERT_GT(real_sums, 0u);
+
+  for (auto s : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
+    SCOPED_TRACE(static_cast<int>(s));
+    const DistOpPtr join = Spec().Plan(s)->children[0];  // under the Gather
+    const DistOpPtr plan = MakeDistFinalAgg(
+        MakeGather(MakeDistPartialAgg(join, group_by, aggs),
+                   /*gather_rows=*/false),
+        group_by, aggs);
+    auto got = ExecuteDistPlan(&cluster_, plan);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->stats.strategy, s);
+    ASSERT_EQ(got->table.schema().num_columns(), want.schema().num_columns());
+    for (size_t c = 0; c < want.schema().num_columns(); ++c) {
+      EXPECT_EQ(got->table.schema().column(c).name,
+                want.schema().column(c).name);
+      EXPECT_EQ(got->table.schema().column(c).type,
+                want.schema().column(c).type)
+          << want.schema().column(c).name;
+    }
+    ExpectSameRows(got->table, want);
+  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 /// Spill-to-disk backpressure on the exchange: over-cap sends stream
 /// through per-channel temp files without changing results, receive order,
 /// or (lifetime) byte accounting; spill files live exactly as long as their
-/// undelivered segments; a failed query leaks neither files nor accounting;
-/// and a truncated or corrupt segment surfaces as an error, never as wrong
-/// rows. A capped join reports the spill its channels really did, the same
+/// undelivered segments; a failed query leaks no file, no accounting and
+/// no active transaction; and a truncated or corrupt segment surfaces as an
+/// error, never as wrong rows. A capped join reports the spill its channels really did, the same
 /// on every run under either schedule. The failing-query leak test runs
 /// under asan in CI (scripts/check.sh focus list), which also catches
 /// leaked FILE* streams.
@@ -325,6 +325,16 @@ TEST_F(ExchangeSpillTest, FailingQueryLeaksNoSpillFiles) {
   }
 
   JoinQuery spec{"orders", "lookup", "o_id", "l_id"};
+  // {local xids active summed over every DN, gxids active at the GTM}: a
+  // failed query aborts its reader snapshot, so both return to these.
+  auto active_txns = [&cluster] {
+    size_t local = 0;
+    for (int i = 0; i < cluster.num_dns(); ++i) {
+      local += cluster.dn(i)->txn_mgr().active_count();
+    }
+    return std::make_pair(local, cluster.gtm().active_count());
+  };
+  const auto active = active_txns();
 
   DistExecOptions opts;
   opts.parallel = false;  // deterministic send order across DNs
@@ -344,6 +354,7 @@ TEST_F(ExchangeSpillTest, FailingQueryLeaksNoSpillFiles) {
   EXPECT_GT(cluster.metrics().Get("exchange.bytes_denied"), 0);
   EXPECT_GT(cluster.metrics().Get("exchange.bytes_aborted"), 0);
   EXPECT_EQ(FilesInDir(), 0u);  // every spill segment was cleaned up
+  EXPECT_EQ(active_txns(), active);
 
   // Pipelined, with a channel cap below one batch and a 1-byte budget: the
   // first spill is denied, and the consumers reading the failed producer's
@@ -358,6 +369,7 @@ TEST_F(ExchangeSpillTest, FailingQueryLeaksNoSpillFiles) {
   EXPECT_EQ(piped_fail.status().code(), StatusCode::kResourceExhausted);
   EXPECT_GT(cluster.metrics().Get("exchange.bytes_denied"), denied0);
   EXPECT_EQ(FilesInDir(), 0u);
+  EXPECT_EQ(active_txns(), active);
 
   // Same query with a sufficient budget completes — and still cleans up.
   opts.max_spill_bytes = 0;
@@ -369,6 +381,7 @@ TEST_F(ExchangeSpillTest, FailingQueryLeaksNoSpillFiles) {
   EXPECT_EQ(ChannelSpill(ok->stats),
             std::make_pair(ok->stats.spill_bytes, ok->stats.spill_segments));
   EXPECT_EQ(FilesInDir(), 0u);
+  EXPECT_EQ(active_txns(), active);
 }
 
 TEST_F(ExchangeSpillTest, BuildSideSpillKeepsJoinBitIdentical) {
