@@ -133,8 +133,7 @@ cluster::DistOpPtr GroupByPlan(cluster::ScanPath path) {
   return cluster::MakeDistFinalAgg(
       cluster::MakeGather(
           cluster::MakeDistPartialAgg(
-              cluster::MakeDistScan("sales", nullptr, path), {"g"}, aggs),
-          /*gather_rows=*/false),
+              cluster::MakeDistScan("sales", nullptr, path), {"g"}, aggs)),
       {"g"}, aggs);
 }
 

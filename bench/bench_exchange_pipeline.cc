@@ -94,8 +94,7 @@ DistOpPtr BuildPlan() {
       MakeDistScan("orders", nullptr), MakeDistScan("customers", nullptr),
       "cust", "c_id", nullptr, JoinStrategy::kRepartition);
   return MakeDistFinalAgg(
-      MakeGather(MakeDistPartialAgg(std::move(core), {"segment"}, aggs),
-                 /*gather_rows=*/false),
+      MakeGather(MakeDistPartialAgg(std::move(core), {"segment"}, aggs)),
       {"segment"}, aggs);
 }
 

@@ -57,8 +57,7 @@ std::unique_ptr<Cluster> BuildJoinCluster(int dns, int64_t rows,
 DistOpPtr JoinPlan(JoinStrategy strategy) {
   return MakeGather(MakeDistHashJoin(MakeDistScan("orders", nullptr),
                                      MakeDistScan("customers", nullptr), "cust",
-                                     "c_id", nullptr, strategy),
-                    /*gather_rows=*/true);
+                                     "c_id", nullptr, strategy));
 }
 
 /// range: dns, channel cap in bytes (0 = uncapped).

@@ -76,8 +76,7 @@ DistOpPtr SalesAggPlan(sql::ExprPtr filter, std::vector<DistributedAgg> aggs,
                        ScanPath path = ScanPath::kColumnar) {
   return MakeDistFinalAgg(
       MakeGather(MakeDistPartialAgg(
-                     MakeDistScan("sales", std::move(filter), path), {}, aggs),
-                 /*gather_rows=*/false),
+                     MakeDistScan("sales", std::move(filter), path), {}, aggs)),
       {}, aggs);
 }
 

@@ -51,8 +51,7 @@ DistOpPtr GroupByRegionPlan() {
                                       {AggFunc::kCount, "", "n"}};
   return MakeDistFinalAgg(
       MakeGather(MakeDistPartialAgg(MakeDistScan("sales", nullptr), group_by,
-                                    aggs),
-                 /*gather_rows=*/false),
+                                    aggs)),
       group_by, aggs);
 }
 

@@ -61,8 +61,7 @@ std::unique_ptr<Cluster> BuildJoinCluster(int dns, int64_t rows,
 DistOpPtr JoinPlan(JoinStrategy strategy = JoinStrategy::kAuto) {
   return MakeGather(MakeDistHashJoin(MakeDistScan("orders", nullptr),
                                      MakeDistScan("customers", nullptr), "cust",
-                                     "c_id", nullptr, strategy),
-                    /*gather_rows=*/true);
+                                     "c_id", nullptr, strategy));
 }
 
 /// range: dns, dim_rows, strategy (0 broadcast / 1 repartition / 2 auto),

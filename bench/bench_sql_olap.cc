@@ -214,8 +214,7 @@ void BM_DistributedFactAggregate(benchmark::State& state) {
   const cluster::DistOpPtr plan = cluster::MakeDistFinalAgg(
       cluster::MakeGather(
           cluster::MakeDistPartialAgg(cluster::MakeDistScan("fact", nullptr),
-                                      group_by, aggs),
-          /*gather_rows=*/false),
+                                      group_by, aggs)),
       group_by, aggs);
   cluster::DistPlanResult last;
   for (auto _ : state) {

@@ -117,8 +117,7 @@ int main() {
       MakeGather(MakeDistPartialAgg(
                      MakeDistScan("customer", sql::Expr::Lt(
                                                   "balance", sql::Value(1000))),
-                     {}, aggs),
-                 /*gather_rows=*/false),
+                     {}, aggs)),
       {}, aggs);
   auto mpp = ExecuteDistPlan(&cluster, plan);
   if (mpp.ok()) {

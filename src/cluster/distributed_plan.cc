@@ -604,6 +604,24 @@ JoinStrategy ChooseJoinStrategy(double est_left, double est_right, int n) {
                                             : JoinStrategy::kRepartition;
 }
 
+/// How one join moves its inputs, resolved once at execution from the
+/// scanned encoded side sizes: the smaller side (left on a tie) is the
+/// build side, the one broadcast ships, and the one spooled under
+/// max_build_bytes; a planned strategy wins over the cost formula.
+struct JoinMovement {
+  JoinStrategy strategy;
+  bool build_left;
+};
+
+JoinMovement ResolveJoinMovement(JoinStrategy planned, size_t left_bytes,
+                                 size_t right_bytes, int n) {
+  const auto l = static_cast<double>(left_bytes);
+  const auto r = static_cast<double>(right_bytes);
+  return JoinMovement{
+      planned != JoinStrategy::kAuto ? planned : ChooseJoinStrategy(l, r, n),
+      left_bytes <= right_bytes};
+}
+
 /// Dispatches fn(0..n-1) on the shared pool, or inline when !parallel
 /// (shared contract across every fragment: execution mode never changes
 /// results).
@@ -736,8 +754,8 @@ class DistPlanExecutor {
 };
 
 Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
-  // Shape: FinalAgg? -> Gather -> PartialAgg? -> (DistScan | DistHashJoin
-  // over two (optionally exchange-wrapped) DistScans).
+  // Shape: FinalAgg? -> Gather -> PartialAgg? -> (DistScan | DistIndexScan
+  // | DistHashJoin over two DistScans).
   const DistOp* node = root.get();
   if (node == nullptr) {
     return Status::InvalidArgument("empty distributed plan");
@@ -781,19 +799,11 @@ Result<DistPlanResult> DistPlanExecutor::Run(const DistOpPtr& root) {
     if (core->children.size() != 2) {
       return Status::InvalidArgument("DistHashJoin must have two children");
     }
-    auto unwrap = [](const DistOp* c) -> const DistOp* {
-      if (c != nullptr && c->kind == DistOpKind::kDistExchange &&
-          c->children.size() == 1) {
-        return c->children[0].get();
-      }
-      return c;
-    };
-    left_scan = unwrap(core->children[0].get());
-    right_scan = unwrap(core->children[1].get());
+    left_scan = core->children[0].get();
+    right_scan = core->children[1].get();
     if (left_scan == nullptr || left_scan->kind != DistOpKind::kDistScan ||
         right_scan == nullptr || right_scan->kind != DistOpKind::kDistScan) {
-      return Status::InvalidArgument(
-          "DistHashJoin inputs must be DistScans (optionally exchange-wrapped)");
+      return Status::InvalidArgument("DistHashJoin inputs must be DistScans");
     }
   } else if (core->kind != DistOpKind::kDistScan &&
              core->kind != DistOpKind::kDistIndexScan) {
@@ -1247,36 +1257,22 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
   }
   stats_.naive_bytes = actual_left_bytes + actual_right_bytes;
 
-  // Strategy decision. Estimated relation sizes come from optimizer stats
-  // when a registry was wired through; otherwise from the actual scanned
-  // encoded sizes (exact, but unavailable to a real planner — that is
-  // precisely what the stats path models). A plan-time choice wins over
-  // the cost formula.
-  double est_left = static_cast<double>(actual_left_bytes);
-  double est_right = static_cast<double>(actual_right_bytes);
-  if (opts_.stats != nullptr) {
-    if (const auto* ts = opts_.stats->Get(left_scan.table)) {
-      est_left = ts->EstimatedBytes();
-    }
-    if (const auto* ts = opts_.stats->Get(right_scan.table)) {
-      est_right = ts->EstimatedBytes();
-    }
-  }
-  stats_.broadcast_left = est_left <= est_right;
-  const JoinStrategy strategy =
-      join.strategy != JoinStrategy::kAuto
-          ? join.strategy
-          : ChooseJoinStrategy(est_left, est_right, n_);
+  // The one movement decision: the strategy (the plan's, or kAuto resolved
+  // here) and the build side, both from the scanned encoded sizes.
+  const JoinMovement movement = ResolveJoinMovement(
+      join.strategy, actual_left_bytes, actual_right_bytes, n_);
+  const JoinStrategy strategy = movement.strategy;
+  const bool build_left = movement.build_left;
   stats_.strategy = strategy;
+  stats_.build_left = build_left;
 
   // Data movement: repartition moves both relations, broadcast only the
-  // smaller one (the build side). One loop in simulated time runs every
-  // producer and consumer and charges them (exchange::RunExchange), so the
-  // latency and spill figures describe exactly the exchange that ran. A
-  // channel byte limit bounds the in-memory window; overflow spills to
-  // per-channel temp files (or is denied once the spill budget is
-  // exhausted). One budget spans both relations' networks and the build
-  // side.
+  // build side. One loop in simulated time runs every producer and
+  // consumer and charges them (exchange::RunExchange), so the latency and
+  // spill figures describe exactly the exchange that ran. A channel byte
+  // limit bounds the in-memory window; overflow spills to per-channel temp
+  // files (or is denied once the spill budget is exhausted). One budget
+  // spans both relations' networks and the build side.
   exchange::SpillBudget spill_budget(opts_.max_spill_bytes);
   exchange::ExchangeSpillConfig spill_cfg{opts_.spill_dir, &spill_budget};
   exchange::ExchangeNetwork left_net(n_, batch_rows_, opts_.max_channel_bytes,
@@ -1284,8 +1280,8 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
   exchange::ExchangeNetwork right_net(n_, batch_rows_, opts_.max_channel_bytes,
                                       spill_cfg);
   const bool repartition = strategy == JoinStrategy::kRepartition;
-  const bool move_left = repartition || stats_.broadcast_left;
-  const bool move_right = repartition || !stats_.broadcast_left;
+  const bool move_left = repartition || build_left;
+  const bool move_right = repartition || !build_left;
   std::vector<std::vector<exchange::ScatterInput>> inputs(serving_.size());
   std::vector<int> resources(serving_.size());
   for (int i = 0; i < n_; ++i) {
@@ -1326,11 +1322,11 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
 
   // Per-DN join: each DN joins the rows it holds (exchange-decoded for a
   // side that moved, scanned for one that did not) with one sql::HashJoin,
-  // built on the right and probed with the left, into a ShardSink that
-  // folds each match into the fused partial aggregate or appends it. Under
-  // max_build_bytes the smaller side (the one broadcast would ship) is
-  // first spooled through a capped local spill channel and re-read:
-  // lossless, so only simulated spill I/O changes.
+  // built on the build side and probed with the other, into a ShardSink
+  // that folds each match (left ++ right) into the fused partial aggregate
+  // or appends it. Under max_build_bytes a build side over the cap is first
+  // spooled through a capped local spill channel and re-read: lossless, so
+  // only simulated spill I/O changes.
   exchange::ExchangeSpillConfig build_cfg{opts_.spill_dir, &spill_budget};
   std::vector<FragSlot>& slots = *slots_out;
   auto join_dn = [&](int j) -> Status {
@@ -1341,20 +1337,21 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
         move_left ? run.rows[0][sj] : left_slots[sj].table.mutable_rows();
     std::vector<Row>& rrows =
         move_right ? run.rows[1][sj] : right_slots[sj].table.mutable_rows();
-    std::vector<Row>& small_side = stats_.broadcast_left ? lrows : rrows;
+    std::vector<Row>& build_rows = build_left ? lrows : rrows;
+    const std::vector<Row>& probe_rows = build_left ? rrows : lrows;
     if (opts_.max_build_bytes != 0 &&
-        exchange::EncodedBytes(small_side, batch_rows_) >
+        exchange::EncodedBytes(build_rows, batch_rows_) >
             opts_.max_build_bytes) {
       exchange::ExchangeChannel ch;
       exchange::ExchangeChannel::SendLimits limits{opts_.max_build_bytes,
                                                    &build_cfg};
-      for (size_t b = 0; b < small_side.size(); b += batch_rows_) {
-        size_t e = std::min(b + batch_rows_, small_side.size());
+      for (size_t b = 0; b < build_rows.size(); b += batch_rows_) {
+        size_t e = std::min(b + batch_rows_, build_rows.size());
         OFI_RETURN_NOT_OK(
-            ch.Send(exchange::EncodeBatch(small_side, b, e), limits));
+            ch.Send(exchange::EncodeBatch(build_rows, b, e), limits));
       }
       std::vector<Row> spooled;
-      spooled.reserve(small_side.size());
+      spooled.reserve(build_rows.size());
       while (true) {
         OFI_ASSIGN_OR_RETURN(std::optional<std::string> batch, ch.PopBatch());
         if (!batch.has_value()) break;
@@ -1363,7 +1360,7 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
         for (auto& r : decoded) spooled.push_back(std::move(r));
       }
       slot.build_spill_bytes = ch.spilled_bytes();
-      small_side = std::move(spooled);
+      build_rows = std::move(spooled);
     }
     sql::ExprPtr pred = Expr::EqCols(join.left_key, join.right_key);
     if (join.residual) pred = Expr::And(pred, join.residual->Clone());
@@ -1372,9 +1369,9 @@ Status DistPlanExecutor::ExecJoinFragment(const DistOp& join,
     OFI_ASSIGN_OR_RETURN(ShardSink sink,
                          MakeSink(left_schema_.Concat(right_schema_), nullptr,
                                   fused, /*count_naive=*/false));
-    hash_join.Build(rrows);
-    for (const Row& lrow : lrows) {
-      hash_join.Probe(lrow, [&sink](const Row& joined) {
+    hash_join.Build(build_rows, build_left);
+    for (const Row& row : probe_rows) {
+      hash_join.Probe(row, [&sink](const Row& joined) {
         sink.Add(joined);
         return true;
       });
@@ -1581,16 +1578,6 @@ DistOpPtr MakeDistIndexScan(std::string table, sql::ExprPtr filter,
   return op;
 }
 
-DistOpPtr MakeDistExchange(DistOpPtr child, ExchangeMode mode,
-                           std::string partition_key) {
-  auto op = std::make_shared<DistOp>();
-  op->kind = DistOpKind::kDistExchange;
-  op->children.push_back(std::move(child));
-  op->mode = mode;
-  op->partition_key = std::move(partition_key);
-  return op;
-}
-
 DistOpPtr MakeDistHashJoin(DistOpPtr left, DistOpPtr right,
                            std::string left_key, std::string right_key,
                            sql::ExprPtr residual, JoinStrategy strategy) {
@@ -1625,11 +1612,10 @@ DistOpPtr MakeDistFinalAgg(DistOpPtr child, std::vector<std::string> group_by,
   return op;
 }
 
-DistOpPtr MakeGather(DistOpPtr child, bool gather_rows) {
+DistOpPtr MakeGather(DistOpPtr child) {
   auto op = std::make_shared<DistOp>();
   op->kind = DistOpKind::kGather;
   op->children.push_back(std::move(child));
-  op->gather_rows = gather_rows;
   return op;
 }
 
@@ -1662,15 +1648,6 @@ std::string DistOp::ToString(int indent) const {
       }
       break;
     }
-    case DistOpKind::kDistExchange:
-      s += "EXCHANGE ";
-      s += mode == ExchangeMode::kBroadcast
-               ? "broadcast"
-               : (mode == ExchangeMode::kShuffle ? "shuffle" : "local");
-      if (mode == ExchangeMode::kShuffle && !partition_key.empty()) {
-        s += " key=" + partition_key;
-      }
-      break;
     case DistOpKind::kDistHashJoin:
       s += "HASHJOIN " + left_key + " = " + right_key + " strategy=";
       s += cluster::ToString(strategy);
@@ -1684,7 +1661,10 @@ std::string DistOp::ToString(int indent) const {
       break;
     case DistOpKind::kGather:
       s += "GATHER ";
-      s += gather_rows ? "rows" : "partials";
+      s += !children.empty() && children[0] &&
+                   children[0]->kind == DistOpKind::kDistPartialAgg
+               ? "partials"
+               : "rows";
       break;
   }
   s += "\n";
@@ -1961,38 +1941,21 @@ DistLowering LowerSelectPlan(const sql::PlanPtr& logical, Cluster* cluster,
       out.fallback_reason = "join residual does not bind on the joined schema";
       return out;
     }
-    // Exchange annotation + join strategy: resolvable at plan time only
-    // when both relations have statistics (the executor falls back to the
-    // actual scanned sizes otherwise, which EXPLAIN reports as auto).
+    // The join strategy is resolvable at plan time only when both relations
+    // have statistics (otherwise kAuto: the executor decides from the
+    // scanned sizes). Which side moves and which is built is always decided
+    // at execution, from what the scans actually return.
     JoinStrategy strategy = JoinStrategy::kAuto;
-    DistOpPtr left_in = std::move(*left);
-    DistOpPtr right_in = std::move(*right);
-    const auto* lstats = stats != nullptr ? stats->Get(node->children[0]->table_name) : nullptr;
-    const auto* rstats = stats != nullptr ? stats->Get(node->children[1]->table_name) : nullptr;
+    const optimizer::TableStats* lstats =
+        stats != nullptr ? stats->Get(node->children[0]->table_name) : nullptr;
+    const optimizer::TableStats* rstats =
+        stats != nullptr ? stats->Get(node->children[1]->table_name) : nullptr;
     if (lstats != nullptr && rstats != nullptr) {
-      const double est_l = lstats->EstimatedBytes();
-      const double est_r = rstats->EstimatedBytes();
-      strategy =
-          ChooseJoinStrategy(est_l, est_r, static_cast<int>(serving.size()));
-      if (strategy == JoinStrategy::kBroadcast) {
-        const bool broadcast_left = est_l <= est_r;
-        left_in = broadcast_left
-                      ? MakeDistExchange(std::move(left_in),
-                                         ExchangeMode::kBroadcast)
-                      : MakeDistExchange(std::move(left_in), ExchangeMode::kNone);
-        right_in = broadcast_left
-                       ? MakeDistExchange(std::move(right_in),
-                                          ExchangeMode::kNone)
-                       : MakeDistExchange(std::move(right_in),
-                                          ExchangeMode::kBroadcast);
-      } else {
-        left_in = MakeDistExchange(std::move(left_in), ExchangeMode::kShuffle,
-                                   left_key);
-        right_in = MakeDistExchange(std::move(right_in), ExchangeMode::kShuffle,
-                                    right_key);
-      }
+      strategy = ChooseJoinStrategy(lstats->EstimatedBytes(),
+                                    rstats->EstimatedBytes(),
+                                    static_cast<int>(serving.size()));
     }
-    core = MakeDistHashJoin(std::move(left_in), std::move(right_in),
+    core = MakeDistHashJoin(std::move(*left), std::move(*right),
                             std::move(left_key), std::move(right_key),
                             residual ? residual->Clone() : nullptr, strategy);
     if (lstats != nullptr || rstats != nullptr) {
@@ -2063,12 +2026,11 @@ DistLowering LowerSelectPlan(const sql::PlanPtr& logical, Cluster* cluster,
     }
     out.root = MakeDistFinalAgg(
         MakeGather(MakeDistPartialAgg(std::move(core), agg_node->group_by,
-                                      dist_aggs),
-                   /*gather_rows=*/false),
+                                      dist_aggs)),
         agg_node->group_by, dist_aggs);
     out.cut = agg_node;
   } else {
-    out.root = MakeGather(std::move(core), /*gather_rows=*/true);
+    out.root = MakeGather(std::move(core));
     out.cut = node;
   }
   return out;

@@ -9,12 +9,13 @@
 ///                  DistIndexScan, or the columnar view's kernels) feed one
 ///                  sink that applies the pushed filter below any data
 ///                  movement
-///   DistExchange   shuffle / broadcast annotation on a join input (the
-///                  data movement itself is executed cooperatively by the
-///                  consuming join, because both relations' traffic shares
-///                  each DN's serialized resource in one exchange step)
-///   DistHashJoin   per-DN sql::HashJoin over local + exchanged rows,
-///                  probing into the same sink as a scan
+///   DistHashJoin   per-DN sql::HashJoin over two DistScans. The join
+///                  moves its own inputs (both relations' traffic shares
+///                  each DN's serialized resource in one exchange step):
+///                  from the scanned encoded sizes it picks the smaller side
+///                  (left on a tie), which broadcast ships and every DN
+///                  builds its hash table on, and resolves kAuto; each match
+///                  goes into the same sink as a scan's rows
 ///   DistPartialAgg per-DN partial aggregation, fused into its child
 ///                  fragment: the sink folds each passing row or join match
 ///                  into a sql::Aggregator (or pure column kernels serve a
@@ -32,7 +33,8 @@
 /// On top sits a lowering pass (LowerSelectPlan) from the sql::PlanSelect
 /// logical plan to a distributed physical plan — columnar vs row scan from
 /// Cluster columnar registration + filter recognizability, broadcast vs
-/// repartition from StatsRegistry::EstimatedBytes — with a clean
+/// repartition from StatsRegistry::EstimatedBytes when both tables have
+/// stats (kAuto otherwise) — with a clean
 /// single-node fallback (outer joins, set ops, expressions the cluster
 /// cannot run). Plan nodes above the distributable core (Project / Sort /
 /// Limit / HAVING filters) are re-executed CN-side on the gathered result.
@@ -58,10 +60,10 @@ struct DistributedAgg {
 
 /// How the two sides of a distributed join are moved so matching keys meet.
 enum class JoinStrategy {
-  /// Choose from estimated side sizes: broadcast the smaller side when
-  /// |small| x (N-1) < (|L|+|R|) x (N-1)/N, repartition otherwise. Estimates
-  /// come from optimizer stats when provided, else from the actual scanned
-  /// encoded sizes.
+  /// Choose at execution from the scanned encoded side sizes: broadcast the
+  /// smaller side when |small| x (N-1) <= (|L|+|R|) x (N-1)/N, repartition
+  /// otherwise. LowerSelectPlan stamps kBroadcast / kRepartition instead
+  /// when both tables have optimizer stats.
   kAuto,
   /// Ship the (smaller) build side, whole, to every DN; the probe side
   /// never moves. Bytes ~ |build| x (N-1).
@@ -74,7 +76,6 @@ enum class JoinStrategy {
 enum class DistOpKind : uint8_t {
   kDistScan,
   kDistIndexScan,
-  kDistExchange,
   kDistHashJoin,
   kDistPartialAgg,
   kDistFinalAgg,
@@ -86,10 +87,6 @@ enum class DistOpKind : uint8_t {
 /// recognizability and per-shard freshness at run time and falls back to
 /// the row store per shard (results are identical either way).
 enum class ScanPath : uint8_t { kRow, kColumnar };
-
-/// Data-movement annotation on a join input. kNone = the relation stays
-/// put (the other side broadcasts). Executed by the consuming join.
-enum class ExchangeMode : uint8_t { kNone, kBroadcast, kShuffle };
 
 struct DistOp;
 using DistOpPtr = std::shared_ptr<DistOp>;
@@ -121,26 +118,18 @@ struct DistOp {
   /// ANALYZE-estimated matching rows across the table; -1 = no stats.
   double est_rows = -1;
 
-  // kDistExchange
-  ExchangeMode mode = ExchangeMode::kNone;
-  std::string partition_key;  // shuffle only
-
   // kDistHashJoin
   std::string left_key, right_key;
   sql::ExprPtr residual;  // evaluated on the joined row
-  /// kAuto = resolve at execution from stats (or actual scanned bytes);
-  /// kBroadcast / kRepartition force that strategy (hand-built plans pass
-  /// it to MakeDistHashJoin).
+  /// kAuto = resolve at execution from the scanned bytes; kBroadcast /
+  /// kRepartition force that strategy (lowering stamps it from stats,
+  /// hand-built plans pass it to MakeDistHashJoin). Which side moves under
+  /// broadcast and which side is built is decided at execution either way.
   JoinStrategy strategy = JoinStrategy::kAuto;
 
   // kDistPartialAgg / kDistFinalAgg
   std::vector<std::string> group_by;
   std::vector<DistributedAgg> aggs;
-
-  // kGather
-  /// True when row-shaped state (join/scan output) is gathered: the CN
-  /// pays a size-aware receive on top of the per-partial merge cost.
-  bool gather_rows = false;
 
   /// Planner-estimated relation bytes (EXPLAIN); -1 = not estimated.
   double est_bytes = -1;
@@ -163,8 +152,6 @@ DistOpPtr MakeDistScan(std::string table, sql::ExprPtr filter,
                        ScanPath path = ScanPath::kRow);
 DistOpPtr MakeDistIndexScan(std::string table, sql::ExprPtr filter,
                             std::string index_column, size_t index_col);
-DistOpPtr MakeDistExchange(DistOpPtr child, ExchangeMode mode,
-                           std::string partition_key = "");
 DistOpPtr MakeDistHashJoin(DistOpPtr left, DistOpPtr right,
                            std::string left_key, std::string right_key,
                            sql::ExprPtr residual,
@@ -174,17 +161,20 @@ DistOpPtr MakeDistPartialAgg(DistOpPtr child,
                              std::vector<DistributedAgg> aggs);
 DistOpPtr MakeDistFinalAgg(DistOpPtr child, std::vector<std::string> group_by,
                            std::vector<DistributedAgg> aggs);
-DistOpPtr MakeGather(DistOpPtr child, bool gather_rows);
+/// Gathers partials when the child is a DistPartialAgg, else rows (the CN
+/// then pays a size-aware receive on top of the per-partial merge cost).
+DistOpPtr MakeGather(DistOpPtr child);
 
 // --- Execution ---------------------------------------------------------------
 
 /// Knobs for executing a distributed physical plan: scatter mode
 /// (parallel), the index permission for lowering (use_index), exchange
 /// batching and memory (batch_rows, max_channel_bytes, spill_dir,
-/// max_spill_bytes, max_build_bytes), join sizing (stats) and the exchange
-/// schedule (pipeline). The join strategy (DistOp::strategy) and the scan
-/// path (DistOp::path, columnar whenever the table has a columnar copy and
-/// the filter is kernel-recognizable) are plan properties, not options.
+/// max_spill_bytes, max_build_bytes) and the exchange schedule (pipeline).
+/// The join strategy (DistOp::strategy) and the scan path (DistOp::path,
+/// columnar whenever the table has a columnar copy and the filter is
+/// kernel-recognizable) are plan properties, not options; a join's moving
+/// and build side come from the scanned sizes.
 struct DistExecOptions {
   /// Run per-DN fragments on common::ThreadPool::Shared(). When false the
   /// scatter executes inline on the caller thread. Results and simulated
@@ -216,9 +206,6 @@ struct DistExecOptions {
   /// exceeding it is spooled through a spill channel and re-read at build
   /// time (bit-identical, charged as spill I/O). 0 = never spill the build.
   size_t max_build_bytes = 0;
-  /// Stats for the kAuto broadcast-vs-repartition decision; null falls
-  /// back to actual scanned encoded sizes.
-  const optimizer::StatsRegistry* stats = nullptr;
   /// The exchange schedule: when a join's consumers may run in the
   /// simulated-time exchange loop (exchange::RunExchange), whose producers
   /// always stream batches as each partition fills.
@@ -262,8 +249,10 @@ struct DistExecStats {
   bool joined = false;
   /// Strategy actually executed (kAuto resolved).
   JoinStrategy strategy = JoinStrategy::kBroadcast;
-  /// Broadcast only: true if the left side was the broadcast (build) side.
-  bool broadcast_left = false;
+  /// True if the left side was the build side: the smaller one by scanned
+  /// encoded bytes (left on a tie), which broadcast ships and every DN's
+  /// hash table indexes under either strategy.
+  bool build_left = false;
   size_t shuffle_bytes = 0;
   size_t broadcast_bytes = 0;
   /// Encoded bytes of joined rows gathered DN -> CN.

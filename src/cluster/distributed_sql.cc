@@ -128,18 +128,32 @@ Result<sql::Table> DistributedSqlSession::Execute(
     case sql::StatementKind::kInsert: {
       const auto& insert = *stmt.insert;
       OFI_ASSIGN_OR_RETURN(auto table, catalog_.Get(insert.table));
+      // Every row's shape is checked before any row ships.
       for (const auto& row : insert.rows) {
         if (row.empty()) {
           return Status::InvalidArgument("cannot insert an empty row");
         }
-        // Mirror first: it validates the row shape before anything ships.
-        OFI_RETURN_NOT_OK(table->Append(row));
-        Txn txn = cluster_.Begin(TxnScope::kSingleShard);
-        OFI_RETURN_NOT_OK(txn.Insert(insert.table, row[0], row));
-        OFI_RETURN_NOT_OK(txn.Commit());
+        if (row.size() != table->schema().num_columns()) {
+          return Status::InvalidArgument("row arity mismatch");
+        }
       }
-      // Keep statistics fresh enough for small interactive sessions.
+      // One transaction per row; a failing row aborts its own and ends the
+      // statement. The mirror only ever holds committed rows.
+      Status status;
+      for (const auto& row : insert.rows) {
+        Txn txn = cluster_.Begin(TxnScope::kSingleShard);
+        status = txn.Insert(insert.table, row[0], row);
+        if (status.ok()) status = txn.Commit();
+        if (!status.ok()) {
+          if (!txn.finished()) (void)txn.Abort();
+          break;
+        }
+        OFI_RETURN_NOT_OK(table->Append(row));
+      }
+      // Keep statistics fresh enough for small interactive sessions, over
+      // every row that committed.
       stats_.Put(insert.table, optimizer::AnalyzeTable(*table));
+      OFI_RETURN_NOT_OK(status);
       return sql::Table{};
     }
     case sql::StatementKind::kSelect:

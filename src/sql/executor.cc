@@ -197,30 +197,38 @@ Status HashJoin::Bind(const Schema& left, const Schema& right,
   return Status::OK();
 }
 
-void HashJoin::Build(const std::vector<Row>& right) {
-  right_ = &right;
-  build_.reserve(right.size() * 2);
-  for (size_t i = 0; i < right.size(); ++i) {
-    build_.emplace(HashRow(right[i], rkeys_), i);
+void HashJoin::Build(const std::vector<Row>& rows, bool build_left) {
+  build_left_ = build_left;
+  build_rows_ = &rows;
+  const std::vector<size_t>& keys = build_left ? lkeys_ : rkeys_;
+  build_.reserve(rows.size() * 2);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    build_.emplace(HashRow(rows[i], keys), i);
   }
 }
 
-void HashJoin::Probe(const Row& left,
+void HashJoin::Probe(const Row& probe,
                      const std::function<bool(const Row&)>& on_match) {
-  for (size_t k : lkeys_) {
-    if (left[k].is_null()) return;
+  const std::vector<size_t>& pkeys = build_left_ ? rkeys_ : lkeys_;
+  const std::vector<size_t>& bkeys = build_left_ ? lkeys_ : rkeys_;
+  for (size_t k : pkeys) {
+    if (probe[k].is_null()) return;
   }
-  auto range = build_.equal_range(HashRow(left, lkeys_));
+  auto range = build_.equal_range(HashRow(probe, pkeys));
   bool filled = false;
   for (auto it = range.first; it != range.second; ++it) {
-    const Row& right = (*right_)[it->second];
-    if (!RowKeysEqual(left, lkeys_, right, rkeys_)) continue;
+    const Row& build = (*build_rows_)[it->second];
+    if (!RowKeysEqual(probe, pkeys, build, bkeys)) continue;
+    // The probe row's half of left ++ right is copied once per probe, the
+    // build row's half once per match.
     if (!filled) {
-      scratch_.assign(left.begin(), left.end());
-      scratch_.resize(left.size() + right.size());
+      scratch_.resize(probe.size() + build.size());
+      std::copy(probe.begin(), probe.end(),
+                scratch_.begin() + (build_left_ ? build.size() : 0));
       filled = true;
     }
-    std::copy(right.begin(), right.end(), scratch_.begin() + left.size());
+    std::copy(build.begin(), build.end(),
+              scratch_.begin() + (build_left_ ? 0 : probe.size()));
     if (PassesResidual(scratch_) && !on_match(scratch_)) return;
   }
 }

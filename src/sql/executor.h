@@ -61,26 +61,29 @@ class Aggregator {
 /// Bind splits the predicate into its top-level conjuncts: each cross-side
 /// `col = col` (IsEquiJoinPredicate) is a hash key, and the rest conjoin
 /// into the residual, bound in place on left ++ right (concurrent joins
-/// need their own predicate clones). Build indexes the right rows by
-/// reference; they must outlive every Probe. Probe calls `on_match(joined)`
-/// for each right row whose keys equal `left`'s (NULL keys never match) and
-/// whose `joined` = left ++ right passes the residual, in a fixed order.
-/// `joined` is one scratch row reused across matches; `on_match` returns
-/// false to stop the probe.
+/// need their own predicate clones). Build indexes one side's rows by
+/// reference (the right side unless `build_left`); they must outlive every
+/// Probe. Probe takes a row of the other side and calls `on_match(joined)`
+/// for each build row whose keys equal its own (NULL keys never match) and
+/// whose `joined` = left ++ right passes the residual, in a fixed order:
+/// the output is left ++ right whichever side was built. `joined` is one
+/// scratch row reused across matches; `on_match` returns false to stop the
+/// probe.
 class HashJoin {
  public:
   Status Bind(const Schema& left, const Schema& right, const ExprPtr& predicate);
   /// False when no conjunct is a hash key: Executor then joins by nested
   /// loop, testing each concatenated pair with PassesResidual.
   bool has_keys() const { return !lkeys_.empty(); }
-  void Build(const std::vector<Row>& right);
-  void Probe(const Row& left, const std::function<bool(const Row&)>& on_match);
+  void Build(const std::vector<Row>& rows, bool build_left = false);
+  void Probe(const Row& probe, const std::function<bool(const Row&)>& on_match);
   bool PassesResidual(const Row& joined) const;
 
  private:
   std::vector<size_t> lkeys_, rkeys_;
   ExprPtr residual_;
-  const std::vector<Row>* right_ = nullptr;
+  bool build_left_ = false;
+  const std::vector<Row>* build_rows_ = nullptr;
   std::unordered_multimap<size_t, size_t> build_;
   Row scratch_;
 };

@@ -22,8 +22,7 @@ inline DistOpPtr AggPlan(std::string table, sql::ExprPtr filter,
   return MakeDistFinalAgg(
       MakeGather(MakeDistPartialAgg(
                      MakeDistScan(std::move(table), std::move(filter), path),
-                     group_by, aggs),
-                 /*gather_rows=*/false),
+                     group_by, aggs)),
       group_by, aggs);
 }
 
@@ -49,8 +48,7 @@ struct JoinQuery {
     return MakeGather(
         MakeDistHashJoin(MakeDistScan(left_table, clone(left_filter)),
                          MakeDistScan(right_table, clone(right_filter)),
-                         left_key, right_key, clone(residual), strategy),
-        /*gather_rows=*/true);
+                         left_key, right_key, clone(residual), strategy));
   }
 };
 

@@ -355,7 +355,7 @@ TEST_F(DistributedJoinTest, AutoPrefersBroadcastForSmallBuildSide) {
   auto result = ExecuteDistPlan(&cluster_, Spec().Plan());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->stats.strategy, JoinStrategy::kBroadcast);
-  EXPECT_FALSE(result->stats.broadcast_left);  // customers (right) is tiny
+  EXPECT_FALSE(result->stats.build_left);  // customers (right) is tiny
   EXPECT_GT(result->stats.broadcast_bytes, 0u);
   EXPECT_EQ(result->stats.shuffle_bytes, 0u);
 }
@@ -384,8 +384,8 @@ TEST_F(DistributedJoinTest, AutoPrefersRepartitionWhenBothSidesLarge) {
 
 TEST_F(DistributedJoinTest, OptimizerStatsDriveTheStrategyDecision) {
   LoadRandom(200, 10, /*seed=*/3, /*null_fraction=*/0.0);
-  // Stats claiming both sides are huge flip kAuto to repartition even
-  // though the actual small build side would have favored broadcast.
+  // Stats claiming both sides are huge make lowering stamp repartition
+  // even though the actual small build side would have favored broadcast.
   optimizer::TableStats big;
   big.num_rows = 1000000;
   optimizer::ColumnStats wide;
@@ -394,13 +394,23 @@ TEST_F(DistributedJoinTest, OptimizerStatsDriveTheStrategyDecision) {
   optimizer::StatsRegistry registry;
   registry.Put("orders", big);
   registry.Put("customers", big);
-  DistExecOptions opts;
-  opts.stats = &registry;
-  auto result = ExecuteDistPlan(&cluster_, Spec().Plan(), opts);
+  const sql::PlanPtr logical =
+      sql::MakeJoin(sql::MakeScan("orders"), sql::MakeScan("customers"),
+                    Expr::EqCols("cust", "c_id"));
+  const DistLowering lowered = LowerSelectPlan(logical, &cluster_, &registry);
+  ASSERT_TRUE(lowered.ok()) << lowered.fallback_reason;
+  const DistOp& join = *lowered.root->children[0];  // under the Gather
+  ASSERT_EQ(join.kind, DistOpKind::kDistHashJoin);
+  EXPECT_EQ(join.strategy, JoinStrategy::kRepartition);
+  auto result = ExecuteDistPlan(&cluster_, lowered.root);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->stats.strategy, JoinStrategy::kRepartition);
-  // And without the registry the same data picks broadcast.
-  auto untouched = ExecuteDistPlan(&cluster_, Spec().Plan());
+  // And without stats lowering leaves kAuto, which the scanned sizes
+  // resolve to broadcast.
+  const DistLowering blind = LowerSelectPlan(logical, &cluster_, nullptr);
+  ASSERT_TRUE(blind.ok()) << blind.fallback_reason;
+  EXPECT_EQ(blind.root->children[0]->strategy, JoinStrategy::kAuto);
+  auto untouched = ExecuteDistPlan(&cluster_, blind.root);
   ASSERT_TRUE(untouched.ok());
   EXPECT_EQ(untouched->stats.strategy, JoinStrategy::kBroadcast);
   ExpectSameRows(result->table, untouched->table);
@@ -493,7 +503,7 @@ TEST_F(DistributedJoinTest, UnknownTableOrKeyFails) {
     EXPECT_FALSE(ExecuteDistPlan(&cluster_, spec.Plan(s)).ok());
   }
   const DistOpPtr no_table =
-      MakeGather(MakeDistScan("nope", nullptr), /*gather_rows=*/true);
+      MakeGather(MakeDistScan("nope", nullptr));
   EXPECT_FALSE(ExecuteDistPlan(&cluster_, no_table).ok());
   EXPECT_EQ(ActiveTxns(), active);
   ASSERT_TRUE(ExecuteDistPlan(&cluster_, Spec().Plan()).ok());
@@ -518,10 +528,12 @@ TEST_F(DistributedJoinTest, ResidualCrossSideEqualityMatchesReference) {
   ExpectMatchesReference(spec, JoinStrategy::kRepartition);
 }
 
-// Each DN builds on its right rows and probes with its left rows in order,
-// and the CN appends the DNs in order, so an unfused join's gathered order
-// is fixed by the data alone. A self-join with duplicate keys on both sides
-// pins it, as (left o_id, right o_id) pairs, under each strategy.
+// Each DN builds on its smaller side and probes with the other side's rows
+// in order, and the CN appends the DNs in order, so an unfused join's
+// gathered order is fixed by the data alone. A self-join with duplicate
+// keys on both sides pins it, as (left o_id, right o_id) pairs, under each
+// strategy. Its sides tie, so every DN builds on the left and probes with
+// its right rows: each right row's matches come out together.
 TEST_F(DistributedJoinTest, UnfusedJoinKeepsItsGatheredOrder) {
   for (int64_t o = 0; o < 8; ++o) {
     InsertOrder({Value(o), Value(o % 3), Value(o * 10)});
@@ -530,17 +542,18 @@ TEST_F(DistributedJoinTest, UnfusedJoinKeepsItsGatheredOrder) {
   using Pairs = std::vector<std::pair<int64_t, int64_t>>;
   const std::map<JoinStrategy, Pairs> want = {
       {JoinStrategy::kBroadcast,
-       {{4, 4}, {0, 0}, {1, 4}, {6, 0}, {7, 4}, {3, 0}, {4, 1}, {5, 5},
-        {1, 1}, {2, 5}, {7, 1}, {0, 6}, {5, 2}, {6, 6}, {2, 2}, {3, 6},
-        {4, 7}, {0, 3}, {1, 7}, {6, 3}, {7, 7}, {3, 3}}},
+       {{7, 4}, {1, 4}, {4, 4}, {3, 0}, {6, 0}, {0, 0}, {2, 5}, {5, 5},
+        {7, 1}, {1, 1}, {4, 1}, {3, 6}, {6, 6}, {0, 6}, {2, 2}, {5, 2},
+        {7, 7}, {1, 7}, {4, 7}, {3, 3}, {6, 3}, {0, 3}}},
       {JoinStrategy::kRepartition,
-       {{4, 7}, {4, 1}, {4, 4}, {1, 7}, {1, 1}, {1, 4}, {7, 7}, {7, 1},
-        {7, 4}, {0, 3}, {0, 6}, {0, 0}, {6, 3}, {6, 6}, {6, 0}, {3, 3},
-        {3, 6}, {3, 0}, {5, 2}, {5, 5}, {2, 2}, {2, 5}}}};
+       {{7, 4}, {1, 4}, {4, 4}, {7, 1}, {1, 1}, {4, 1}, {7, 7}, {1, 7},
+        {4, 7}, {3, 0}, {6, 0}, {0, 0}, {3, 6}, {6, 6}, {0, 6}, {3, 3},
+        {6, 3}, {0, 3}, {2, 5}, {5, 5}, {2, 2}, {5, 2}}}};
   for (const auto& [strategy, pairs] : want) {
     auto result = ExecuteDistPlan(&cluster_, spec.Plan(strategy));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result->stats.strategy, strategy);
+    EXPECT_TRUE(result->stats.build_left);
     Pairs got;
     for (const Row& r : result->table.rows()) {
       got.emplace_back(r[0].AsInt(), r[3].AsInt());
@@ -597,8 +610,7 @@ TEST_F(DistributedJoinTest, FusedGroupedSumOverJoinTypesLikeTheOracle) {
     SCOPED_TRACE(static_cast<int>(s));
     const DistOpPtr join = Spec().Plan(s)->children[0];  // under the Gather
     const DistOpPtr plan = MakeDistFinalAgg(
-        MakeGather(MakeDistPartialAgg(join, group_by, aggs),
-                   /*gather_rows=*/false),
+        MakeGather(MakeDistPartialAgg(join, group_by, aggs)),
         group_by, aggs);
     auto got = ExecuteDistPlan(&cluster_, plan);
     ASSERT_TRUE(got.ok()) << got.status().ToString();

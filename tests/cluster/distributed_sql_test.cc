@@ -265,6 +265,7 @@ TEST_F(DistributedSqlTest, AcceptanceJoinAggregateOverFourDns) {
   EXPECT_NE(explain->find("DISTRIBUTED PLAN"), std::string::npos) << *explain;
   EXPECT_NE(explain->find("FINALAGG"), std::string::npos) << *explain;
   EXPECT_NE(explain->find("PARTIALAGG"), std::string::npos) << *explain;
+  EXPECT_NE(explain->find("GATHER partials"), std::string::npos) << *explain;
   EXPECT_NE(explain->find("HASHJOIN"), std::string::npos) << *explain;
   EXPECT_NE(explain->find("DISTSCAN"), std::string::npos) << *explain;
   EXPECT_NE(explain->find("path=row"), std::string::npos) << *explain;
@@ -523,6 +524,94 @@ TEST_F(DistributedSqlTest, BuildSideBudgetSpoolsWithoutChangingResults) {
   EXPECT_GT(dist_.cluster().metrics().Get("exchange.bytes_spilled"), 0);
 }
 
+// Whole-table stats say `small` is the side to move, but the filter leaves
+// far fewer `big` rows: the plan stamps only the strategy, and execution
+// moves and builds on what the scans return. EXPLAIN names no per-side
+// movement that execution could contradict.
+TEST_F(DistributedSqlTest, JoinBuildsOnTheSideTheScansMakeSmaller) {
+  Exec("CREATE TABLE big (k BIGINT, s BIGINT)");
+  Exec("CREATE TABLE small (id BIGINT, w BIGINT)");
+  auto insert_rows = [&](const std::string& table, int64_t n, int64_t mod) {
+    for (int64_t b = 0; b < n; b += 500) {
+      std::string stmt = "INSERT INTO " + table + " VALUES ";
+      for (int64_t i = b; i < std::min(n, b + 500); ++i) {
+        if (i > b) stmt += ", ";
+        stmt += "(" + std::to_string(i) + ", " + std::to_string(i % mod) + ")";
+      }
+      Exec(stmt);
+    }
+  };
+  insert_rows("big", 4000, 300);
+  insert_rows("small", 300, 7);
+  dist_.Analyze();
+  local_.Analyze();
+
+  const std::string q =
+      "SELECT k, s, id, w FROM big JOIN small ON s = id WHERE k < 10";
+  auto explain = dist_.Explain(q);
+  ASSERT_TRUE(explain.ok());
+  EXPECT_EQ(explain->find("EXCHANGE"), std::string::npos) << *explain;
+  EXPECT_NE(explain->find("GATHER rows"), std::string::npos) << *explain;
+  const size_t at = explain->find("strategy=");
+  ASSERT_NE(at, std::string::npos) << *explain;
+  const std::string planned =
+      explain->substr(at + 9, explain->find_first_of(" \n", at) - at - 9);
+
+  Table result = Query(q);
+  EXPECT_EQ(result.num_rows(), 10u);
+  ASSERT_TRUE(dist_.last().distributed) << dist_.last().fallback_reason;
+  EXPECT_EQ(planned, ToString(dist_.last().stats.strategy)) << *explain;
+  EXPECT_TRUE(dist_.last().stats.build_left);  // big, after its filter
+}
+
+// A failed INSERT aborts its row's transaction and leaves the CN mirror
+// and its statistics matching the cluster; a row of the wrong arity fails
+// before any row of its statement ships.
+TEST_F(DistributedSqlTest, FailedInsertAbortsItsRowAndKeepsTheMirror) {
+  Exec("CREATE TABLE t (k BIGINT, v BIGINT)");
+  Exec("INSERT INTO t VALUES (1, 10)");
+  auto active = [this] {
+    size_t n = 0;
+    for (int i = 0; i < dist_.cluster().num_dns(); ++i) {
+      n += dist_.cluster().dn(i)->txn_mgr().active_count();
+    }
+    return n;
+  };
+  auto counts = [this] {
+    auto got = dist_.Execute("SELECT COUNT(*) AS n FROM t");
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(dist_.last().distributed) << dist_.last().fallback_reason;
+    const int64_t cluster = got.ok() ? got->rows()[0][0].AsInt() : -1;
+    auto mirror = dist_.catalog().Get("t");
+    EXPECT_TRUE(mirror.ok());
+    return std::make_pair(
+        cluster, mirror.ok() ? static_cast<int64_t>((*mirror)->num_rows()) : -1);
+  };
+  ASSERT_EQ(active(), 0u);
+
+  auto dup = dist_.Execute("INSERT INTO t VALUES (1, 30)");
+  ASSERT_FALSE(dup.ok());
+  EXPECT_TRUE(dup.status().IsAlreadyExists()) << dup.status().ToString();
+  EXPECT_EQ(active(), 0u);
+  EXPECT_EQ(counts(), std::make_pair(int64_t{1}, int64_t{1}));
+
+  auto arity = dist_.Execute("INSERT INTO t VALUES (2, 20), (3)");
+  ASSERT_FALSE(arity.ok());
+  EXPECT_TRUE(arity.status().IsInvalidArgument()) << arity.status().ToString();
+  EXPECT_EQ(active(), 0u);
+  EXPECT_EQ(counts(), std::make_pair(int64_t{1}, int64_t{1}));
+
+  // Rows before the failing one stay committed (a statement is not
+  // atomic); the mirror and the statistics count them.
+  auto partial = dist_.Execute("INSERT INTO t VALUES (2, 20), (1, 30)");
+  ASSERT_FALSE(partial.ok());
+  EXPECT_TRUE(partial.status().IsAlreadyExists());
+  EXPECT_EQ(active(), 0u);
+  EXPECT_EQ(counts(), std::make_pair(int64_t{2}, int64_t{2}));
+  ASSERT_NE(dist_.stats().Get("t"), nullptr);
+  EXPECT_EQ(dist_.stats().Get("t")->num_rows, 2u);
+}
+
 TEST_F(DistributedSqlTest, ExplainReportsSpillPolicy) {
   CreateOrdersCustomers();
   Exec("INSERT INTO orders VALUES (1, 5, 100, 1)");
@@ -559,9 +648,9 @@ TEST(DistPlanShapeTest, MalformedPlansAreRejected) {
 
   // PartialAgg without FinalAgg.
   auto lonely = ExecuteDistPlan(
-      &cluster, MakeGather(MakeDistPartialAgg(MakeDistScan("t", nullptr), {},
-                                              {{sql::AggFunc::kCount, "", "n"}}),
-                           /*gather_rows=*/false));
+      &cluster,
+      MakeGather(MakeDistPartialAgg(MakeDistScan("t", nullptr), {},
+                                    {{sql::AggFunc::kCount, "", "n"}})));
   ASSERT_FALSE(lonely.ok());
   EXPECT_TRUE(lonely.status().IsInvalidArgument());
 }
@@ -578,8 +667,7 @@ TEST(DistPlanShapeTest, PlainDistributedScanGathersRows) {
   }
   auto res = ExecuteDistPlan(
       &cluster,
-      MakeGather(MakeDistScan("t", sql::Expr::Gt("v", sql::Value(40))),
-                 /*gather_rows=*/true));
+      MakeGather(MakeDistScan("t", sql::Expr::Gt("v", sql::Value(40)))));
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_EQ(res->table.num_rows(), 9u);  // v = 42..58 even
   EXPECT_GT(res->stats.result_bytes, 0u);

@@ -433,6 +433,60 @@ TEST_F(ExchangeSpillTest, BuildSideSpillKeepsJoinBitIdentical) {
   }
 }
 
+// The same join with the smaller relation on the left: the left side is
+// the build side, so it is what moves, what every DN hashes and what the
+// cap spools; the output stays left ++ right, bit-identical to uncapped.
+TEST_F(ExchangeSpillTest, LeftBuildSideSpillKeepsJoinBitIdentical) {
+  Cluster cluster(4, Protocol::kGtmLite);
+  Schema lookup({Column{"l_id", TypeId::kInt64, ""},
+                 Column{"pad", TypeId::kString, ""}});
+  Schema orders({Column{"o_id", TypeId::kInt64, ""},
+                 Column{"pad", TypeId::kString, ""}});
+  ASSERT_TRUE(cluster.CreateTable("lookup", lookup).ok());
+  ASSERT_TRUE(cluster.CreateTable("orders", orders).ok());
+  std::string pad(64, 'p');
+  for (int64_t i = 0; i < 32; ++i) {
+    Txn t = cluster.Begin(TxnScope::kSingleShard);
+    ASSERT_TRUE(t.Insert("lookup", Value(i), MakeRow(i, pad)).ok());
+    ASSERT_TRUE(t.Commit().ok());
+  }
+  for (int64_t i = 0; i < 64; ++i) {
+    Txn t = cluster.Begin(TxnScope::kSingleShard);
+    ASSERT_TRUE(t.Insert("orders", Value(i), MakeRow(i, pad)).ok());
+    ASSERT_TRUE(t.Commit().ok());
+  }
+
+  JoinQuery spec{"lookup", "orders", "l_id", "o_id"};
+  for (auto strategy : {JoinStrategy::kBroadcast, JoinStrategy::kRepartition}) {
+    SCOPED_TRACE(ToString(strategy));
+    DistExecOptions opts;
+    auto plain = ExecuteDistPlan(&cluster, spec.Plan(strategy), opts);
+    ASSERT_TRUE(plain.ok());
+    EXPECT_TRUE(plain->stats.build_left);
+    EXPECT_EQ(plain->stats.build_spill_bytes, 0u);
+
+    opts.max_build_bytes = 256;  // well under every DN's build partition
+    opts.spill_dir = dir_.string();
+    auto spooled = ExecuteDistPlan(&cluster, spec.Plan(strategy), opts);
+    ASSERT_TRUE(spooled.ok()) << spooled.status().ToString();
+    EXPECT_TRUE(spooled->stats.build_left);
+    EXPECT_GT(spooled->stats.build_spill_bytes, 0u);
+    EXPECT_EQ(FilesInDir(), 0u);
+
+    ASSERT_EQ(plain->table.num_rows(), 32u);
+    ASSERT_EQ(spooled->table.num_rows(), plain->table.num_rows());
+    for (size_t i = 0; i < plain->table.num_rows(); ++i) {
+      const Row& a = plain->table.rows()[i];
+      const Row& b = spooled->table.rows()[i];
+      ASSERT_EQ(a.size(), b.size());
+      EXPECT_EQ(a[0].AsInt(), a[2].AsInt());  // l_id = o_id, left first
+      for (size_t c = 0; c < a.size(); ++c) {
+        EXPECT_TRUE(a[c].Equals(b[c]));
+      }
+    }
+  }
+}
+
 TEST_F(ExchangeSpillTest, PipelinedCappedExchangeLeaksNoFilesOrBudget) {
   // The pipelined schedule: consumers drain while producers still stream.
   // The invariants hold: bit-identical rows in deterministic order, every

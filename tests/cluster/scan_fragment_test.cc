@@ -72,8 +72,7 @@ void ExpectSameTable(const Table& got, const Table& want) {
 DistOpPtr AggOver(DistOpPtr core, std::vector<std::string> group_by,
                   std::vector<DistributedAgg> aggs) {
   return MakeDistFinalAgg(
-      MakeGather(MakeDistPartialAgg(std::move(core), group_by, aggs),
-                 /*gather_rows=*/false),
+      MakeGather(MakeDistPartialAgg(std::move(core), group_by, aggs)),
       group_by, aggs);
 }
 
@@ -171,7 +170,7 @@ TEST_F(ScanFragmentTest, FilteredRowScanChargesEveryVisibleRow) {
 
   cluster_.ResetSimTime();
   auto plain = ExecuteDistPlan(
-      &cluster_, MakeGather(MakeDistScan("t", filter()), /*gather_rows=*/true));
+      &cluster_, MakeGather(MakeDistScan("t", filter())));
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
   EXPECT_EQ(plain->table.num_rows(), 40u);
   cluster_.ResetSimTime();
@@ -215,7 +214,7 @@ TEST_F(ScanFragmentTest, IndexScanCountsProbedRowsBeforeTheResidual) {
   const std::vector<DistributedAgg> aggs = {{AggFunc::kCount, "", "n"},
                                             {AggFunc::kSum, "v", "s"}};
   auto rows = ExecuteDistPlan(&cluster_,
-                              MakeGather(index_scan(), /*gather_rows=*/true));
+                              MakeGather(index_scan()));
   auto agg = ExecuteDistPlan(&cluster_, AggOver(index_scan(), {}, aggs));
   for (const auto* r : {&rows, &agg}) {
     ASSERT_TRUE(r->ok()) << r->status().ToString();

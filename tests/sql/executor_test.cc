@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace ofi::sql {
 namespace {
 
@@ -73,6 +75,47 @@ TEST_F(ExecutorTest, HashJoinOnEquiPredicate) {
   // Every t1 row (a1 in 0..4, twice each) matches exactly one t2 row.
   EXPECT_EQ(out.num_rows(), 10u);
   EXPECT_EQ(out.schema().num_columns(), 4u);
+}
+
+// Built on either side, a HashJoin emits the same left ++ right matches:
+// duplicate keys on both sides, NULL keys on both sides (never matching)
+// and a residual over both halves.
+TEST_F(ExecutorTest, HashJoinBuildSideKeepsLeftThenRightMatches) {
+  const Schema left({Column{"lk", TypeId::kInt64, ""},
+                     Column{"lv", TypeId::kInt64, ""}});
+  const Schema right({Column{"rk", TypeId::kInt64, ""},
+                      Column{"rv", TypeId::kString, ""}});
+  std::vector<Row> lrows, rrows;
+  for (int64_t i = 0; i < 12; ++i) {
+    lrows.push_back({i % 4 == 3 ? Value::Null() : Value(i % 3), Value(i)});
+  }
+  for (int64_t i = 0; i < 7; ++i) {
+    rrows.push_back({i == 6 ? Value::Null() : Value(i % 4),
+                     Value("r" + std::to_string(i))});
+  }
+  auto join = [&](bool build_left) {
+    HashJoin hj;
+    EXPECT_TRUE(hj.Bind(left, right,
+                        Expr::And(Expr::EqCols("lk", "rk"),
+                                  Expr::Gt("lv", Value(int64_t{1}))))
+                    .ok());
+    hj.Build(build_left ? lrows : rrows, build_left);
+    std::vector<std::string> out;
+    for (const Row& probe : build_left ? rrows : lrows) {
+      hj.Probe(probe, [&out](const Row& joined) {
+        std::string s;
+        for (const Value& v : joined) s += v.ToString() + "|";
+        out.push_back(s);
+        return true;
+      });
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const std::vector<std::string> by_right = join(false);
+  EXPECT_EQ(by_right.size(), 11u);
+  EXPECT_EQ(by_right.front(), "0|6|0|'r0'|");
+  EXPECT_EQ(join(true), by_right);
 }
 
 TEST_F(ExecutorTest, JoinWithResidualPredicate) {
